@@ -637,6 +637,42 @@ let decision_sharded_test () =
     (Staged.stage (fun () ->
          ignore (Core.Kernel.run k ~until:(Core.Kernel.now k + Core.Time.ms 100))))
 
+(* Funding change propagation, the path every RPC ticket transfer and
+   block/wake takes: a currency with 65 held tickets (one plus 64
+   siblings), the scheduler and one resource-manager tracker (interested
+   in the currency) subscribed. One op moves 100 units between two of the
+   tickets — the first set_amount flips the currency valid -> stale and
+   delivers an event to both subscribers, the second finds it already
+   stale and fires nothing — then runs the consumer's half: the tracker
+   drain and the revaluing read, which re-arms the flip for the next op.
+   Invalidation, delivery and recording are allocation-free, and the read
+   lands on the cached values, so the budget pins the op at zero. *)
+let funding_notify_test () =
+  let module F = Core.Funding in
+  let ls = Core.Lottery_sched.create ~rng:(Core.Rng.create ~seed:2 ()) () in
+  let sys = Core.Lottery_sched.funding ls in
+  let tr = Core.Funded.Tracker.attach sys in
+  let cur = F.make_currency sys ~name:"group" in
+  ignore
+    (Core.Lottery_sched.fund_currency ls ~target:cur ~amount:1000
+       ~from:(Core.Lottery_sched.base_currency ls));
+  let tickets =
+    Array.init 65 (fun _ ->
+        let t = F.issue sys ~currency:cur ~amount:100 in
+        F.hold sys t;
+        t)
+  in
+  Core.Funded.Tracker.watch tr cur ();
+  let a = ref 100 in
+  let revalue () = () in
+  Test.make ~name:"funding-notify"
+    (Staged.stage (fun () ->
+         a := 300 - !a;
+         F.set_amount sys tickets.(0) !a;
+         F.set_amount sys tickets.(1) (300 - !a);
+         ignore (Core.Funded.Tracker.drain tr revalue : [> `All | `Dirtied | `None ]);
+         ignore (Sys.opaque_identity (F.currency_value sys cur))))
+
 let hotpath_tests () =
   Test.make_grouped ~name:"hotpath"
     [
@@ -645,6 +681,7 @@ let hotpath_tests () =
       decision_mode_test Core.Lottery_sched.Cumul_mode "cumul";
       decision_mode_test Core.Lottery_sched.Alias_mode "alias";
       decision_sharded_test ();
+      funding_notify_test ();
     ]
 
 (* Batch amortization: serving a winner mutates its weight (compensation

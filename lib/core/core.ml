@@ -113,6 +113,7 @@ module Inverse_memory = Lotto_res.Inverse_memory
 module Io_bandwidth = Lotto_res.Io_bandwidth
 module Disk = Lotto_res.Disk
 module Switch = Lotto_res.Switch
+module Funded = Lotto_res.Funded
 
 (* Statistics *)
 module Descriptive = Lotto_stats.Descriptive

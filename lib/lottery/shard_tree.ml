@@ -78,6 +78,16 @@ let min_shard t =
   done;
   !best
 
+(* Placement target: least-loaded shard, equal masses broken by the fewer
+   [members], then the lowest id. *)
+let least_loaded t ~members =
+  let best = ref 0 in
+  for i = 1 to t.shards - 1 do
+    let m = t.sums.(t.leaves + i) and bm = t.sums.(t.leaves + !best) in
+    if m < bm || (m = bm && members.(i) < members.(!best)) then best := i
+  done;
+  !best
+
 (* Most-loaded shard (lowest id on ties): the rebalance source. *)
 let max_shard t =
   let best = ref 0 in

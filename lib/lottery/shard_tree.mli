@@ -34,5 +34,11 @@ val min_shard : t -> int
 (** Least-loaded shard, lowest id on ties — the deterministic
     ticket-weighted placement target. *)
 
+val least_loaded : t -> members:int array -> int
+(** Least-loaded shard, ties broken by the smaller [members.(i)] (the
+    caller's per-shard thread count), then the lowest id — the placement
+    target. A burst of placements at equal (e.g. all-zero) mass thus
+    spreads round-robin instead of landing on shard 0. *)
+
 val max_shard : t -> int
 (** Most-loaded shard, lowest id on ties — the rebalance source. *)

@@ -50,17 +50,49 @@ type row = {
 
 type t = {
   raw : bool;
-  rows : (int, row) Hashtbl.t;
+  mutable by_tid : row option array;
+      (** rows of tids [0 .. dense_tids - 1], indexed by tid: the lookup on
+          every bus event is a bounds check and a load *)
+  sparse : (int, row) Hashtbl.t;  (** rows of any other tid *)
   mutable order : int list;  (** reverse first-seen order *)
   mutable quantum_us : int;  (** largest quantum seen in Preempt events *)
   mutable sub : Bus.subscription option;
 }
 
 let create ?(raw = false) () =
-  { raw; rows = Hashtbl.create 32; order = []; quantum_us = 0; sub = None }
+  {
+    raw;
+    by_tid = [||];
+    sparse = Hashtbl.create 8;
+    order = [];
+    quantum_us = 0;
+    sub = None;
+  }
+
+(* Kernel thread ids are dense from 0; the array covers them, and only
+   out-of-range tids (the kernel pseudo-actor's -1, a hand-built actor)
+   fall back to the hashtable. *)
+let dense_tids = 1 lsl 22
+
+let find t tid =
+  if tid >= 0 && tid < Array.length t.by_tid then t.by_tid.(tid)
+  else if tid >= 0 && tid < dense_tids then None
+  else Hashtbl.find_opt t.sparse tid
+
+let add t tid r =
+  if tid >= 0 && tid < dense_tids then begin
+    let len = Array.length t.by_tid in
+    if tid >= len then begin
+      let a = Array.make (min dense_tids (max 64 (max (tid + 1) (2 * len)))) None in
+      Array.blit t.by_tid 0 a 0 len;
+      t.by_tid <- a
+    end;
+    t.by_tid.(tid) <- Some r
+  end
+  else Hashtbl.replace t.sparse tid r
 
 let row t (a : Event.actor) =
-  match Hashtbl.find_opt t.rows a.Event.tid with
+  match find t a.Event.tid with
   | Some r -> r
   | None ->
       let r =
@@ -86,7 +118,7 @@ let row t (a : Event.actor) =
           q_used = Hashtbl.create 4;
         }
       in
-      Hashtbl.replace t.rows a.Event.tid r;
+      add t a.Event.tid r;
       t.order <- a.Event.tid :: t.order;
       r
 
@@ -190,7 +222,7 @@ type snapshot = {
 let snapshots t =
   List.rev t.order
   |> List.map (fun tid ->
-         let r = Hashtbl.find t.rows tid in
+         let r = Option.get (find t tid) in
          {
            tid = r.tid;
            name = r.name;
@@ -214,7 +246,10 @@ let snapshots t =
              | None -> [||]);
          })
 
-let total_quanta t = Hashtbl.fold (fun _ (r : row) acc -> acc + r.quanta) t.rows 0
+let total_quanta t =
+  List.fold_left
+    (fun acc tid -> acc + (Option.get (find t tid) : row).quanta)
+    0 t.order
 
 type share = {
   s_tid : int;
@@ -242,7 +277,7 @@ let fairness t ~entitled =
   let compared =
     List.filter_map
       (fun (tid, weight) ->
-        Option.map (fun (r : row) -> (r, weight)) (Hashtbl.find_opt t.rows tid))
+        Option.map (fun (r : row) -> (r, weight)) (find t tid))
       entitled
   in
   let total_q =

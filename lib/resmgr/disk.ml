@@ -28,8 +28,7 @@ type t = {
   rng : Rng.t;
   draw : client Draw.t;
   fsys : F.system option;
-  ftrack : Funded.Tracker.t option;
-  by_cid : (int, client) Hashtbl.t; (* funding-currency id -> clients *)
+  ftrack : client Funded.Tracker.t option;
   bus : Obs.Bus.t;
   mutable clients : client list; (* reverse creation order *)
   mutable next_id : int;
@@ -64,7 +63,6 @@ let create ?(policy = Lottery) ?(cylinders = 1000) ?(seek_cost = 10)
     draw = Draw.of_mode backend;
     fsys = funding;
     ftrack = Option.map Funded.Tracker.attach funding;
-    by_cid = Hashtbl.create 16;
     bus = Obs.Bus.create ();
     clients = [];
     next_id = 0;
@@ -139,7 +137,7 @@ let add_funded_client t ~name ?(amount = 1000) ~currency () =
       id = t.next_id;
       name;
       tickets = 0;
-      value = Funded.value (F.Valuation.make sys) fd;
+      value = Funded.value fd;
       funding = Some fd;
       handle = None;
       queue = [];
@@ -149,7 +147,7 @@ let add_funded_client t ~name ?(amount = 1000) ~currency () =
   in
   t.next_id <- t.next_id + 1;
   register t c;
-  Hashtbl.add t.by_cid (F.currency_id (Funded.currency fd)) c;
+  Option.iter (fun tr -> Funded.Tracker.watch tr (Funded.currency fd) c) t.ftrack;
   c
 
 let set_tickets t c tickets =
@@ -209,24 +207,19 @@ let oldest_request c =
    revalues only the clients funded by those currencies — O(dirtied), not
    O(clients) — and is a no-op while the graph is quiescent. *)
 let refresh t =
-  match (t.fsys, t.ftrack) with
-  | Some sys, Some tr -> (
-      let revalue v c =
+  match t.ftrack with
+  | Some tr -> (
+      let revalue c =
         match c.funding with
         | Some fd ->
-            c.value <- Funded.value v fd;
+            c.value <- Funded.value fd;
             update_weight t c
         | None -> ()
       in
-      match Funded.Tracker.drain tr with
-      | `None -> ()
-      | `All -> List.iter (revalue (F.Valuation.make sys)) t.clients
-      | `Dirtied cids ->
-          let v = F.Valuation.make sys in
-          List.iter
-            (fun cid -> List.iter (revalue v) (Hashtbl.find_all t.by_cid cid))
-            cids)
-  | _ -> ()
+      match Funded.Tracker.drain tr revalue with
+      | `All -> List.iter revalue t.clients
+      | `Dirtied | `None -> ())
+  | None -> ()
 
 let publish_draw t c =
   if Obs.Bus.active t.bus then

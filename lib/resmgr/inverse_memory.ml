@@ -25,8 +25,7 @@ type t = {
   rng : Rng.t;
   draw : client Draw.t; (* victim lottery (unused under Global_lru) *)
   fsys : F.system option;
-  ftrack : Funded.Tracker.t option;
-  by_cid : (int, client) Hashtbl.t; (* funding-currency id -> clients *)
+  ftrack : client Funded.Tracker.t option;
   bus : Obs.Bus.t;
   mutable clients : client list; (* reverse creation order *)
   mutable used : int;
@@ -46,7 +45,6 @@ let create ?(policy = Inverse_lottery) ?(backend = Draw.List) ?funding ~frames
     draw = Draw.of_mode backend;
     fsys = funding;
     ftrack = Option.map Funded.Tracker.attach funding;
-    by_cid = Hashtbl.create 16;
     bus = Obs.Bus.create ();
     clients = [];
     used = 0;
@@ -58,6 +56,7 @@ let create ?(policy = Inverse_lottery) ?(backend = Draw.List) ?funding ~frames
 
 let policy t = t.pol
 let events t = t.bus
+let funding_tracker t = t.ftrack
 
 (* The paper's victim-selection weight: (1 - t_i/T) scaled by the fraction
    of physical memory the client occupies. Clients holding no frames cannot
@@ -90,27 +89,22 @@ let update_weight t c =
    funding-graph walks; while shares are quiescent, victim picks skip it
    entirely. *)
 let refresh t =
-  (match (t.fsys, t.ftrack) with
-  | Some sys, Some tr -> (
-      let v = F.Valuation.make sys in
+  (match t.ftrack with
+  | Some tr -> (
       let revalue c =
         match c.funding with
         | Some fd ->
-            let value = Funded.value v fd in
+            let value = Funded.value fd in
             if value <> c.value then begin
               c.value <- value;
               t.wdirty <- true
             end
         | None -> ()
       in
-      match Funded.Tracker.drain tr with
-      | `None -> ()
+      match Funded.Tracker.drain tr revalue with
       | `All -> List.iter revalue t.clients
-      | `Dirtied cids ->
-          List.iter
-            (fun cid -> List.iter revalue (Hashtbl.find_all t.by_cid cid))
-            cids)
-  | _ -> ());
+      | `Dirtied | `None -> ())
+  | None -> ());
   if t.wdirty then begin
     t.wdirty <- false;
     t.total_value <- List.fold_left (fun acc c -> acc +. c.value) 0. t.clients;
@@ -160,7 +154,7 @@ let add_funded_client t ~name ?(amount = 1000) ~working_set ~currency () =
       id = t.next_id;
       name;
       tickets = 0;
-      value = Funded.value (F.Valuation.make sys) fd;
+      value = Funded.value fd;
       funding = Some fd;
       handle = None;
       working_set;
@@ -172,7 +166,7 @@ let add_funded_client t ~name ?(amount = 1000) ~working_set ~currency () =
   in
   t.next_id <- t.next_id + 1;
   register t c;
-  Hashtbl.add t.by_cid (F.currency_id (Funded.currency fd)) c;
+  Option.iter (fun tr -> Funded.Tracker.watch tr (Funded.currency fd) c) t.ftrack;
   c
 
 let set_tickets t c tickets =

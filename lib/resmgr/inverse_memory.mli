@@ -86,3 +86,9 @@ val events : t -> Lotto_obs.Bus.t
 (** Per-pool bus carrying one {!Lotto_obs.Event.Resource_draw} per victim
     lottery held (resource ["memory"], timestamped with the access
     clock). *)
+
+val funding_tracker : t -> client Funded.Tracker.t option
+(** The change tracker behind funded clients' shares ([None] without
+    [~funding]): it records only the currencies funding this pool's
+    clients. For audits and tests — draining it from outside would drop
+    revaluations the pool is owed. *)

@@ -67,3 +67,9 @@ val total_served : t -> int
 val events : t -> Lotto_obs.Bus.t
 (** Per-manager bus carrying one {!Lotto_obs.Event.Resource_draw} per
     lottery held (timestamped with slots served so far). *)
+
+val funding_tracker : t -> client Funded.Tracker.t option
+(** The change tracker behind funded clients' weights ([None] without
+    [~funding]): it records only the currencies funding this device's
+    clients. For audits and tests — draining it from outside would drop
+    revaluations the device is owed. *)

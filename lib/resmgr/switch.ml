@@ -24,8 +24,7 @@ type t = {
   rng : Rng.t;
   draws : circuit Draw.t array; (* one lottery per output port *)
   fsys : F.system option;
-  ftrack : Funded.Tracker.t option;
-  by_cid : (int, circuit) Hashtbl.t; (* funding-currency id -> circuits *)
+  ftrack : circuit Funded.Tracker.t option;
   bus : Obs.Bus.t;
   mutable circuits : circuit list; (* reverse creation order *)
   mutable next_id : int;
@@ -45,7 +44,6 @@ let create ?(ports = 4) ?(buffer_capacity = 64) ?(backend = Draw.List) ?funding
     draws = Array.init ports (fun _ -> Draw.of_mode backend);
     fsys = funding;
     ftrack = Option.map Funded.Tracker.attach funding;
-    by_cid = Hashtbl.create 16;
     bus = Obs.Bus.create ();
     circuits = [];
     next_id = 0;
@@ -111,7 +109,7 @@ let add_funded_circuit t ~name ~output_port ?(amount = 1000) ~rate
       name;
       port = output_port;
       tickets = 0;
-      value = Funded.value (F.Valuation.make sys) fd;
+      value = Funded.value fd;
       funding = Some fd;
       handle = None;
       rate;
@@ -123,7 +121,7 @@ let add_funded_circuit t ~name ~output_port ?(amount = 1000) ~rate
   in
   t.next_id <- t.next_id + 1;
   register t c;
-  Hashtbl.add t.by_cid (F.currency_id (Funded.currency fd)) c;
+  Option.iter (fun tr -> Funded.Tracker.watch tr (Funded.currency fd) c) t.ftrack;
   c
 
 let set_tickets t c tickets =
@@ -153,24 +151,19 @@ let set_buffered t c now_buffered =
    revalues only the circuits funded by those currencies — O(dirtied), not
    O(circuits) — and is a no-op while the graph is quiescent. *)
 let refresh t =
-  match (t.fsys, t.ftrack) with
-  | Some sys, Some tr -> (
-      let revalue v c =
+  match t.ftrack with
+  | Some tr -> (
+      let revalue c =
         match c.funding with
         | Some fd ->
-            c.value <- Funded.value v fd;
+            c.value <- Funded.value fd;
             update_weight t c
         | None -> ()
       in
-      match Funded.Tracker.drain tr with
-      | `None -> ()
-      | `All -> List.iter (revalue (F.Valuation.make sys)) t.circuits
-      | `Dirtied cids ->
-          let v = F.Valuation.make sys in
-          List.iter
-            (fun cid -> List.iter (revalue v) (Hashtbl.find_all t.by_cid cid))
-            cids)
-  | _ -> ()
+      match Funded.Tracker.drain tr revalue with
+      | `All -> List.iter revalue t.circuits
+      | `Dirtied | `None -> ())
+  | None -> ()
 
 let arrivals t =
   List.iter

@@ -72,7 +72,13 @@ type t = {
                                    thread's compensate field) — comparing
                                    the recomputed product would box the
                                    fresh float on every decision *)
-  pending_q : tstate Queue.t; (* dirtied thread currencies, insertion order *)
+  mutable pending : int array;
+      (* thread currencies dirtied since the last flush, in first-dirtied
+         order, as (currency slot, slot generation) pairs: the generation
+         makes an entry left behind by a detached thread dead even after
+         its slot is recycled, and ints keep the buffer allocation- and
+         write-barrier-free *)
+  mutable pending_n : int; (* pairs in [pending] *)
   draw : tstate D.t;
   scratch : thread D.t; (* reusable waiter-pick draw, cleared between picks *)
   fallback_q : tstate Queue.t; (* round-robin ring of runnable threads *)
@@ -84,6 +90,7 @@ type t = {
   imbalance_band : float; (* rebalance trigger, as a fraction of total/N *)
   mutable migration_enabled : bool;
   mutable placement_hook : (thread -> int) option;
+  members : int array; (* threads placed on each shard *)
   mutable migrations : int;
   mutable steals : int;
   quantum_fallback : bool;
@@ -134,6 +141,21 @@ let find_by_currency t c =
   | Some s as o when s.cur == c -> o
   | _ -> None
 
+let record_dirty t c =
+  match find_by_currency t c with
+  | Some s when not s.in_pending ->
+      s.in_pending <- true;
+      let i = 2 * t.pending_n in
+      if i = Array.length t.pending then begin
+        let a = Array.make (2 * i) 0 in
+        Array.blit t.pending 0 a 0 i;
+        t.pending <- a
+      end;
+      t.pending.(i) <- F.currency_slot c;
+      t.pending.(i + 1) <- F.currency_generation t.system c;
+      t.pending_n <- t.pending_n + 1
+  | _ -> ()
+
 let create ?(mode = List_mode) ?(quantum_fallback = true)
     ?(use_compensation = true) ?(shards = 0) ?(imbalance_band = 0.25) ~rng () =
   if shards < 0 then invalid_arg "Lottery_sched.create: shards < 0";
@@ -148,7 +170,8 @@ let create ?(mode = List_mode) ?(quantum_fallback = true)
       by_cslot = [||];
       wcache = [||];
       ccache = [||];
-      pending_q = Queue.create ();
+      pending = Array.make 32 0;
+      pending_n = 0;
       draw = D.of_mode (draw_mode mode);
       scratch = D.of_mode (draw_mode mode);
       fallback_q = Queue.create ();
@@ -159,6 +182,7 @@ let create ?(mode = List_mode) ?(quantum_fallback = true)
       imbalance_band;
       migration_enabled = true;
       placement_hook = None;
+      members = Array.make (max 1 shards) 0;
       migrations = 0;
       steals = 0;
       quantum_fallback;
@@ -175,18 +199,8 @@ let create ?(mode = List_mode) ?(quantum_fallback = true)
      going straight through the Funding API — reports the currencies it
      dirtied; we record the ones that belong to draw clients and revalue
      exactly those before the next lottery. *)
-  ignore
-    (F.on_change t.system (fun ch ->
-         List.iter
-           (fun c ->
-             match find_by_currency t c with
-             | Some s ->
-                 if not s.in_pending then begin
-                   s.in_pending <- true;
-                   Queue.push s t.pending_q
-                 end
-             | None -> ())
-           (F.changed ch)));
+  let record = record_dirty t in
+  ignore (F.on_change t.system (fun ch -> F.iter_changed ch record));
   t
 
 let funding t = t.system
@@ -344,23 +358,32 @@ let migrate t s ~dst =
       stree_adjust t s.shard (-.s.wlast);
       stree_adjust t dst s.wlast
     end;
+    t.members.(s.shard) <- t.members.(s.shard) - 1;
+    t.members.(dst) <- t.members.(dst) + 1;
     s.shard <- dst;
     t.migrations <- t.migrations + 1
   end
 
 (* Ticket-weighted placement: a new thread lands on the least-loaded shard
-   (by live ticket mass, lowest id on ties), unless a placement hook pins
-   it somewhere specific. *)
+   by live ticket mass, unless a placement hook pins it somewhere specific.
+   Equal masses go to the shard holding the fewest threads, then the lowest
+   id: threads are placed at spawn, before they are funded, so a burst of
+   spawns sees all-zero masses and must still spread evenly rather than
+   pile onto shard 0 for rebalancing to undo. *)
 let place t s =
-  if s.shard < 0 then
-    s.shard <-
-      (match t.placement_hook with
-      | None -> Sh.min_shard t.stree
+  if s.shard < 0 then begin
+    let i =
+      match t.placement_hook with
+      | None -> Sh.least_loaded t.stree ~members:t.members
       | Some f ->
           let i = f s.th in
           if i < 0 || i >= t.shards then
             invalid_arg "Lottery_sched: placement hook returned a bad shard";
-          i)
+          i
+    in
+    s.shard <- i;
+    t.members.(i) <- t.members.(i) + 1
+  end
 
 (* Hysteresis rebalance, run at every scheduling decision: trigger when
    the richest or poorest shard strays more than [imbalance_band] x the
@@ -529,7 +552,8 @@ let detach t th =
           stree_adjust t s.shard (-.s.wlast);
           s.counted <- false
         end;
-        if s.in_draw then dispatch_dequeue t s
+        if s.in_draw then dispatch_dequeue t s;
+        if s.shard >= 0 then t.members.(s.shard) <- t.members.(s.shard) - 1
       end
       else remove_from_draw t s;
       drop_donations t s;
@@ -577,38 +601,51 @@ let refresh_weights t =
         | _ -> ())
       t.st_tab
 
-let drain_pending t f =
-  while not (Queue.is_empty t.pending_q) do
-    let s = Queue.pop t.pending_q in
-    s.in_pending <- false;
-    f s
-  done
+(* The [i]th pending entry's thread state, clearing its queued flag; [None]
+   for an entry whose thread was detached (its currency slot emptied or
+   recycled since). Returns the option already stored in the table. *)
+let take_pending t i =
+  match slot_get t.by_cslot t.pending.(2 * i) with
+  | Some s as o
+    when s.in_pending
+         && F.currency_generation t.system s.cur = t.pending.((2 * i) + 1) ->
+      s.in_pending <- false;
+      o
+  | _ -> None
 
 (* Bring the draw in sync with the funding graph: a full rebuild only when
    explicitly requested ({!mark_dirty}), otherwise revalue exactly the
    threads whose currencies the change events dirtied — O(changed), the
-   steady-state path. Detached threads may still sit in the queue; their
-   [dh] is gone, so they drain as no-ops. *)
+   steady-state path, in first-dirtied order. *)
 let flush_pending t =
+  let n = t.pending_n in
+  t.pending_n <- 0;
   if t.dirty then begin
     refresh_weights t;
     t.dirty <- false;
-    drain_pending t (fun _ -> ())
+    for i = 0 to n - 1 do
+      ignore (take_pending t i : tstate option)
+    done
   end
-  else if not (Queue.is_empty t.pending_q) then
-    if t.shards > 0 then
-      drain_pending t (fun s ->
-          if s.in_draw then begin
-            write_weight_sh t s;
-            t.scoped_updates <- t.scoped_updates + 1
-          end)
-    else
-      drain_pending t (fun s ->
-          match s.dh with
-          | Some h ->
-              write_weight t s h;
+  else
+    for i = 0 to n - 1 do
+      match take_pending t i with
+      | None -> ()
+      | Some s ->
+          if t.shards > 0 then begin
+            if s.in_draw then begin
+              write_weight_sh t s;
               t.scoped_updates <- t.scoped_updates + 1
-          | None -> ())
+            end
+          end
+          else begin
+            match s.dh with
+            | Some h ->
+                write_weight t s h;
+                t.scoped_updates <- t.scoped_updates + 1
+            | None -> ()
+          end
+    done
 
 (* Unfunded threads never win a lottery (paper: zero tickets = starvation).
    To keep simulations with forgotten funding alive, optionally fall back to
@@ -784,11 +821,10 @@ let account t th ~used:_ ~quantum:_ ~blocked:_ =
    nobody), so we weigh its *potential* value: the sum of its backing
    tickets at current exchange rates — exactly what the waiter would be
    worth the moment it wakes. *)
-let potential_value t v (s : tstate) =
+let potential_value t (s : tstate) =
   List.fold_left
     (fun acc b ->
-      acc
-      +. (float_of_int (F.amount b) *. F.Valuation.unit_value v (F.denomination b)))
+      acc +. (float_of_int (F.amount b) *. F.unit_value t.system (F.denomination b)))
     0.
     (F.backing_tickets t.system s.cur)
 
@@ -798,11 +834,10 @@ let potential_value t v (s : tstate) =
    waiters are inserted back-to-front to keep the scan in arrival order
    (matching the historical walk) without allocating a reversed list. *)
 let pick_waiter t waiters =
-  let v = F.Valuation.make t.system in
   let d = t.scratch in
   D.clear d;
   let insert w =
-    ignore (D.add d ~client:w ~weight:(potential_value t v (state t w)))
+    ignore (D.add d ~client:w ~weight:(potential_value t (state t w)))
   in
   (match t.mode with
   | Tree_mode | Cumul_mode | Alias_mode -> List.iter insert waiters
@@ -886,9 +921,7 @@ let check_funding_coherence t threads =
   | exception Failure msg -> vf "funding graph: %s" msg);
   List.rev !out
 
-let thread_entitlement t th =
-  let v = F.Valuation.make t.system in
-  potential_value t v (state t th)
+let thread_entitlement t th = potential_value t (state t th)
 
 let draws t = t.draws
 let full_refreshes t = t.full_refreshes

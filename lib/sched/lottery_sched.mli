@@ -46,7 +46,9 @@ val create :
 
     [shards] (default [0] = unsharded) turns on the multi-CPU mode: one
     draw structure per shard, shard [i] serving virtual CPU [i], with
-    threads placed on the least-loaded shard (ticket-weighted), rebalanced
+    threads placed on the least-loaded shard (ticket-weighted; equal
+    masses, such as the zero masses of not-yet-funded threads, go to the
+    shard with the fewest threads), rebalanced
     when a shard's ticket mass deviates from the [1/shards] ideal by more
     than [imbalance_band] (default [0.25], a fraction of the ideal), and
     stolen from a ticket-weighted random victim when a CPU's own shard has

@@ -45,9 +45,8 @@ and currency = {
   mutable val_cache : float;
   mutable unit_cache : float;
   mutable cache_ok : bool;
+  mutable mark : int; (* [would_cycle] visit stamp: seen iff = the epoch *)
 }
-
-type change = { dirtied : currency list (* most recently dirtied first *) }
 
 type system = {
   mutable next_id : int;
@@ -67,12 +66,18 @@ type system = {
   mutable i_next : int array;
   mutable b_prev : int array;
   mutable b_next : int array;
-  (* Flat watcher table: change subscriptions in a slot arena instead of a
-     hashtable, fired in subscription order. *)
-  w_slots : Slots.t;
-  mutable w_tab : (change -> unit) array;
-  mutable dirty_acc : currency list; (* valid->stale flips since last notify *)
+  (* Change subscribers with their subscription ids, in subscription
+     order; rebuilt on (rare) subscribe/unsubscribe so [notify] is a plain
+     loop. *)
+  mutable watchers : (int * (system -> unit)) array;
+  (* Valid->stale flips since the last notify, as currency slots in flip
+     order: a reusable buffer, so announcing a change allocates nothing. *)
+  mutable dirty : int array;
+  mutable dirty_n : int;
+  mutable epoch : int; (* last [would_cycle] walk's stamp *)
 }
+
+type change = system
 
 let fresh_id sys =
   let id = sys.next_id in
@@ -95,6 +100,7 @@ let create_system () =
       val_cache = 0.;
       unit_cache = 1.;
       cache_ok = false;
+      mark = 0;
     }
   in
   let cur_tab = Slots.grow_payload cur_slots [||] ~dummy:base_currency in
@@ -113,9 +119,10 @@ let create_system () =
     i_next = [||];
     b_prev = [||];
     b_next = [||];
-    w_slots = Slots.create ~initial_capacity:4 ();
-    w_tab = [||];
-    dirty_acc = [];
+    watchers = [||];
+    dirty = Array.make 16 0;
+    dirty_n = 0;
+    epoch = 0;
   }
 
 let base sys = sys.base_currency
@@ -190,41 +197,48 @@ let collect_list iter sys c =
 (* --- change notification ------------------------------------------------
 
    Consumers that cache draw weights (the scheduler, the resource managers)
-   subscribe here instead of polling; every mutation that can move a
-   valuation or an activation fires the callbacks once, with the set of
-   currencies whose cached value went stale. The callbacks run synchronously
-   and must not mutate the system (recording the dirtied ids for the next
-   draw is the intended use). *)
+   subscribe here instead of polling; every mutation that moved a valuation
+   or an activation fires the callbacks once, and each callback walks the
+   currencies whose cached value went stale with {!iter_changed}. The
+   callbacks run synchronously and must not mutate the system (recording
+   the dirtied currencies for the next draw is the intended use). A batch
+   lives in the system's own buffer and is reset after the callbacks ran,
+   so a notify allocates nothing — and a mutation that flipped nothing
+   (every affected cache was already stale) fires nothing. *)
 
-type subscription = { wslot : int; wgen : int }
+type subscription = int
 
+(* The id comes from the shared counter, as subscriptions always have, so
+   the cid/tid sequences of everything created after a subscription
+   (visible in pp/dot output) are unchanged; ids are never reused, so a
+   double unsubscribe is a no-op. *)
 let on_change sys f =
-  (* Subscriptions historically drew their id from the shared counter;
-     keep consuming one so the cid/tid sequences of everything created
-     after a subscription (visible in pp/dot output) are unchanged. *)
-  ignore (fresh_id sys : int);
-  let s = Slots.alloc sys.w_slots in
-  sys.w_tab <- Slots.grow_payload sys.w_slots sys.w_tab ~dummy:f;
-  sys.w_tab.(s) <- f;
-  { wslot = s; wgen = Slots.gen sys.w_slots s }
+  let id = fresh_id sys in
+  sys.watchers <- Array.append sys.watchers [| (id, f) |];
+  id
 
-let unsubscribe sys { wslot; wgen } =
-  (* The generation check makes double-unsubscribe a no-op even after the
-     slot has been recycled by a later subscription. *)
-  if Slots.is_live sys.w_slots wslot && Slots.gen sys.w_slots wslot = wgen
-  then begin
-    Slots.release sys.w_slots wslot;
-    sys.w_tab.(wslot) <- (fun (_ : change) -> ())
-  end
+let unsubscribe sys id =
+  sys.watchers <-
+    Array.of_list (List.filter (fun (i, _) -> i <> id) (Array.to_list sys.watchers))
 
-let changed ch = ch.dirtied
+(* Most recent flip first. Consumers write draw weights in this order and
+   a draw's float total depends on write order, so the order is part of
+   every schedule. Each currency appears once per batch: only a valid
+   cache can flip, and nothing revalidates between the flips of one
+   mutation. *)
+let iter_changed sys f =
+  for i = sys.dirty_n - 1 downto 0 do
+    f sys.cur_tab.(sys.dirty.(i))
+  done
 
 let notify sys =
-  let dirtied = sys.dirty_acc in
-  sys.dirty_acc <- [];
-  if Slots.live_count sys.w_slots > 0 then begin
-    let ch = { dirtied } in
-    Slots.iter_live sys.w_slots (fun s -> sys.w_tab.(s) ch)
+  if sys.dirty_n > 0 then begin
+    let ws = sys.watchers in
+    for i = 0 to Array.length ws - 1 do
+      let _, f = ws.(i) in
+      f sys
+    done;
+    sys.dirty_n <- 0
   end
 
 (* --- invalidation -------------------------------------------------------
@@ -246,10 +260,24 @@ let notify sys =
 let rec invalidate sys c =
   if c.cache_ok then begin
     c.cache_ok <- false;
-    sys.dirty_acc <- c :: sys.dirty_acc;
-    if not c.base_p then
-      iter_issued sys c (fun t ->
-          match t.attach with Backs c' -> invalidate sys c' | _ -> ())
+    if sys.dirty_n = Array.length sys.dirty then begin
+      let a = Array.make (2 * sys.dirty_n) 0 in
+      Array.blit sys.dirty 0 a 0 sys.dirty_n;
+      sys.dirty <- a
+    end;
+    sys.dirty.(sys.dirty_n) <- c.cslot;
+    sys.dirty_n <- sys.dirty_n + 1;
+    if not c.base_p then begin
+      (* [iter_issued] spelled out: a closure over [sys] here would be
+         allocated on every flip *)
+      let s = ref c.issued_head in
+      while !s >= 0 do
+        (match sys.tk_tab.(!s).attach with
+        | Backs c' -> invalidate sys c'
+        | Unattached | Held -> ());
+        s := sys.i_next.(!s)
+      done
+    end
   end
 
 let make_currency sys ~name =
@@ -269,6 +297,7 @@ let make_currency sys ~name =
       val_cache = 0.;
       unit_cache = 0.;
       cache_ok = false;
+      mark = 0;
     }
   in
   sys.cur_tab <- Slots.grow_payload sys.cur_slots sys.cur_tab ~dummy:c;
@@ -359,7 +388,9 @@ let flip_invalidate sys t =
 (* Activation propagation (paper §4.4): activating a ticket raises its
    denomination's active amount; on a zero -> nonzero transition every
    backing ticket of that currency activates in turn, and symmetrically for
-   deactivation. *)
+   deactivation. The walks over the backing list are spelled out rather
+   than passed to [iter_backing] as partial applications, which would
+   allocate a closure on every zero crossing (every thread block/wake). *)
 let rec activate_ticket sys t =
   if not t.active then begin
     t.active <- true;
@@ -367,9 +398,16 @@ let rec activate_ticket sys t =
     let c = t.denom in
     let was_zero = c.active_amount = 0 in
     c.active_amount <- c.active_amount + t.amount;
-    if was_zero && c.active_amount > 0 then
-      iter_backing sys c (activate_ticket sys)
+    if was_zero && c.active_amount > 0 then activate_backing sys c
   end
+
+and activate_backing sys c =
+  let s = ref c.backing_head in
+  while !s >= 0 do
+    let n = sys.b_next.(!s) in
+    activate_ticket sys sys.tk_tab.(!s);
+    s := n
+  done
 
 let rec deactivate_ticket sys t =
   if t.active then begin
@@ -379,9 +417,16 @@ let rec deactivate_ticket sys t =
     let was_positive = c.active_amount > 0 in
     c.active_amount <- c.active_amount - t.amount;
     assert (c.active_amount >= 0);
-    if was_positive && c.active_amount = 0 then
-      iter_backing sys c (deactivate_ticket sys)
+    if was_positive && c.active_amount = 0 then deactivate_backing sys c
   end
+
+and deactivate_backing sys c =
+  let s = ref c.backing_head in
+  while !s >= 0 do
+    let n = sys.b_next.(!s) in
+    deactivate_ticket sys sys.tk_tab.(!s);
+    s := n
+  done
 
 let set_amount sys t new_amount =
   check_live t "Funding.set_amount";
@@ -393,28 +438,34 @@ let set_amount sys t new_amount =
     let new_sum = old_sum - t.amount + new_amount in
     t.amount <- new_amount;
     c.active_amount <- new_sum;
-    if old_sum = 0 && new_sum > 0 then iter_backing sys c (activate_ticket sys)
-    else if old_sum > 0 && new_sum = 0 then
-      iter_backing sys c (deactivate_ticket sys)
+    if old_sum = 0 && new_sum > 0 then activate_backing sys c
+    else if old_sum > 0 && new_sum = 0 then deactivate_backing sys c
   end
   else t.amount <- new_amount;
   notify sys
 
 (* A backing edge [currency <- ticket] makes [currency]'s value depend on
    the ticket's denomination. Funding [c] with a ticket denominated in [d]
-   is cyclic iff [d]'s value already depends on [c]. The walk memoizes
-   visited currencies so shared sub-graphs (diamonds) are visited once. *)
+   is cyclic iff [d]'s value already depends on [c]. Each walk stamps the
+   currencies it visits with a fresh epoch, so shared sub-graphs (diamonds)
+   are visited once without a per-call visited set. *)
+let rec depends_on sys funded epoch c =
+  c == funded
+  || c.mark <> epoch
+     && begin
+          c.mark <- epoch;
+          let found = ref false in
+          let s = ref c.backing_head in
+          while (not !found) && !s >= 0 do
+            if depends_on sys funded epoch sys.tk_tab.(!s).denom then found := true
+            else s := sys.b_next.(!s)
+          done;
+          !found
+        end
+
 let would_cycle sys ~funded ~denom =
-  let seen = Hashtbl.create 16 in
-  let rec depends_on c =
-    c.cid = funded.cid
-    || ((not (Hashtbl.mem seen c.cid))
-       && begin
-            Hashtbl.add seen c.cid ();
-            exists_backing sys c (fun b -> depends_on b.denom)
-          end)
-  in
-  depends_on denom
+  sys.epoch <- sys.epoch + 1;
+  depends_on sys funded sys.epoch denom
 
 let fund sys ~ticket ~currency =
   check_live ticket "Funding.fund";
@@ -496,18 +547,22 @@ let destroy_ticket sys t =
    value/active division) is identical to a from-scratch walk, so cached
    results are bit-for-bit equal to uncached ones. *)
 
+(* The cached floats are boxed (the currency record is not all-float), so
+   a store allocates while a read returns the existing box — the property
+   the scheduler's allocation-free [account] relies on. A revalidation
+   that lands on the value already cached therefore skips the store and
+   keeps the old box. Equal is also bit-equal here: the sums and quotients
+   are of non-negative terms and never produce -0. or NaN. *)
 let rec ensure sys c =
   if not c.cache_ok then begin
-    (* Seed with 0 so a (dynamically created, normally impossible) cycle
-       terminates instead of looping. *)
+    (* Marked valid before the walk, so a (dynamically created, normally
+       impossible) cycle terminates instead of looping. *)
     c.cache_ok <- true;
     if c.base_p then begin
-      c.val_cache <- float_of_int c.active_amount;
-      c.unit_cache <- 1.
+      let v = float_of_int c.active_amount in
+      if v <> c.val_cache then c.val_cache <- v
     end
     else begin
-      c.val_cache <- 0.;
-      c.unit_cache <- 0.;
       (* Left fold, head (most recent edge) first: the same float
          accumulation order as the historical list fold. *)
       let v = ref 0. in
@@ -518,10 +573,10 @@ let rec ensure sys c =
           v := !v +. (float_of_int t.amount *. unit_val sys t.denom);
         s := sys.b_next.(!s)
       done;
-      c.val_cache <- !v;
-      c.unit_cache <-
-        (if c.active_amount = 0 then 0.
-         else !v /. float_of_int c.active_amount)
+      let v = !v in
+      let u = if c.active_amount = 0 then 0. else v /. float_of_int c.active_amount in
+      if v <> c.val_cache then c.val_cache <- v;
+      if u <> c.unit_cache then c.unit_cache <- u
     end
   end
 
@@ -535,7 +590,7 @@ and unit_val sys c =
     c.unit_cache
   end
 
-let value_of_currency sys c =
+let currency_value sys c =
   ensure sys c;
   c.val_cache
 
@@ -543,24 +598,10 @@ let value_of_currency sys c =
    consumer that caches this 0 must be told (via a change event) when the
    ticket's activation later makes it worth something, and events only fire
    on valid -> stale flips. *)
-let value_of_ticket sys t =
+let ticket_value sys t =
   let u = unit_val sys t.denom in
   if t.active then float_of_int t.amount *. u else 0.
 
-module Valuation = struct
-  (* Historically a per-draw memo table; the memo now lives on the currency
-     records and survives across draws, so a snapshot is just a view of the
-     system. Kept for call-site compatibility — making one is free. *)
-  type v = system
-
-  let make (sys : system) = sys
-  let unit_value sys c = unit_val sys c
-  let currency_value sys c = value_of_currency sys c
-  let ticket_value sys t = value_of_ticket sys t
-end
-
-let ticket_value sys t = value_of_ticket sys t
-let currency_value sys c = value_of_currency sys c
 let unit_value sys c = unit_val sys c
 
 (* From-scratch valuation with a private memo, bypassing the caches: the

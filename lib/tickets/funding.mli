@@ -42,32 +42,37 @@ val base : system -> currency
     the resource managers) subscribe here instead of polling. Events are
     {e scoped}: each carries the currencies whose cached valuation the
     mutation dirtied, so a consumer updates O(changed) draw weights rather
-    than rebuilding all of them. *)
+    than rebuilding all of them. Delivering an event allocates nothing. *)
 
 type subscription
 
 type change
-(** One batch of invalidations, delivered after the mutation settles. *)
+(** One batch of invalidations, delivered after the mutation settles. Valid
+    only for the duration of the callback it is passed to. *)
 
-val changed : change -> currency list
-(** The currencies whose value may have moved, deduplicated within the
-    batch. Completeness contract: between two reads of a currency's value,
-    every change to that value is covered by some delivered event — so a
-    consumer that (1) accumulates the ids from every event and (2) re-reads
-    exactly the accumulated currencies before each draw never uses a stale
-    weight. Currencies never read by anyone may stay stale without further
-    events until the next read. *)
+val iter_changed : change -> (currency -> unit) -> unit
+(** The currencies whose value may have moved, each once, most recently
+    dirtied first (consumers that write draw weights in this order keep
+    their schedules independent of how the batch is stored). Completeness
+    contract: between two reads of a currency's value, every change to
+    that value is covered by some delivered event — so a consumer that (1)
+    accumulates the currencies from every event and (2) re-reads exactly
+    the accumulated currencies before each draw never uses a stale weight.
+    Currencies never read by anyone may stay stale without further events
+    until the next read. *)
 
 val on_change : system -> (change -> unit) -> subscription
-(** [on_change sys f] calls [f change] after every mutation that can affect
-    valuations or ticket activity ({!fund}, {!unfund}, {!hold}, {!suspend},
-    {!resume}, {!release}, {!set_amount}, {!destroy_ticket}). Callbacks run
-    synchronously on the mutating path, must not mutate the system or the
-    subscription table, and should be cheap — typically recording
-    {!changed} ids in a pending set for the next draw. *)
+(** [on_change sys f] calls [f change] after every mutation that moved a
+    valuation or ticket activity ({!fund}, {!unfund}, {!hold},
+    {!suspend}, {!resume}, {!release}, {!set_amount}, {!destroy_ticket}),
+    in subscription order. A mutation that dirtied no cached valuation
+    fires nothing. Callbacks run synchronously on the mutating path, must
+    not mutate the system or the subscription table, and should be cheap —
+    typically recording the currencies of interest from {!iter_changed} in
+    a pending set for the next draw. *)
 
 val unsubscribe : system -> subscription -> unit
-(** Idempotent, O(1). *)
+(** Idempotent. *)
 
 val make_currency : system -> name:string -> currency
 (** Raises {!Duplicate_name} if [name] is taken ("base" is always taken). *)
@@ -177,31 +182,21 @@ val is_held : ticket -> bool
     steady-state reads are O(1). Cached results are bit-for-bit identical
     to a from-scratch walk. *)
 
-module Valuation : sig
-  type v
-  (** Historically a per-draw memo table; the memo now lives on the
-      currency records and survives across draws, so a snapshot is just a
-      view of the (always current) system and creating one is free. *)
-
-  val make : system -> v
-
-  val unit_value : v -> currency -> float
-  (** Base units per unit of [currency]; [1.] for base, [0.] for a currency
-      with zero active amount. *)
-
-  val currency_value : v -> currency -> float
-  (** Sum of the values of the currency's active backing tickets (for the
-      base currency: its active amount). *)
-
-  val ticket_value : v -> ticket -> float
-  (** [0.] for inactive tickets. *)
-end
-
 val ticket_value : system -> ticket -> float
-(** Current value in base units (cached, O(1) on a quiescent graph). *)
+(** Current value in base units; [0.] for inactive tickets (cached, O(1)
+    on a quiescent graph). *)
 
 val currency_value : system -> currency -> float
+(** Sum of the values of the currency's active backing tickets (for the
+    base currency: its active amount). *)
+
 val unit_value : system -> currency -> float
+(** Base units per unit of [currency]; [1.] for base, [0.] for a currency
+    with zero active amount. *)
+
+val uncached_currency_value : system -> currency -> float
+(** From-scratch valuation that bypasses (and leaves untouched) every
+    cache: the reference the caches are audited against. *)
 
 (** {1 Introspection} *)
 

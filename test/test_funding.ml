@@ -347,9 +347,8 @@ let qcheck_value_conservation =
         else held
       in
       F.check_invariants sys;
-      let v = F.Valuation.make sys in
       let total_held =
-        List.fold_left (fun acc t -> acc +. F.Valuation.ticket_value v t) 0. held
+        List.fold_left (fun acc t -> acc +. F.ticket_value sys t) 0. held
       in
       let base_active = float_of_int (F.active_amount base) in
       (* full equality in an all-active tree; suspend one holder and the
@@ -359,11 +358,8 @@ let qcheck_value_conservation =
         match held with
         | first :: _ ->
             F.suspend sys first;
-            let v2 = F.Valuation.make sys in
             let t2 =
-              List.fold_left
-                (fun acc t -> acc +. F.Valuation.ticket_value v2 t)
-                0. held
+              List.fold_left (fun acc t -> acc +. F.ticket_value sys t) 0. held
             in
             t2 <= float_of_int (F.active_amount base) +. 1e-6
         | [] -> true
@@ -450,11 +446,19 @@ let scratch_unit sys c =
   else scratch_value sys c /. float_of_int (F.active_amount c)
 
 (* Tentpole property of the incremental valuation engine: after arbitrary
-   mutation sequences on a multi-level graph, (1) every cached valuation
-   equals a from-scratch walk bit-for-bit, and (2) the scoped change events
-   name every currency whose observed valuation moved since it was last
-   read — the contract the scheduler and resource managers rely on to
-   revalue only O(dirtied) clients per draw. *)
+   mutation sequences on a multi-level graph, (1) every valid cache equals
+   a from-scratch walk bit-for-bit, and (2) the scoped change events name
+   every currency whose valuation moved — the contract the scheduler and
+   resource managers rely on to revalue only O(dirtied) clients per draw.
+
+   (2) is checked the way consumers use it: a subscriber that re-reads
+   exactly the currencies reported since its last read (nothing else) must
+   hold, after every mutation, each tracked currency's from-scratch value.
+   The graph is left partially stale between full observations, so the
+   lazy paths run too. Mutations span ticket amounts 1..10^12 (log-uniform),
+   donate/revoke-style transfers between non-base currencies, and currency
+   removal followed by creations that recycle the freed slots; 1000 runs of
+   30 mutations cover 3 x 10^4 mutations. *)
 let qcheck_incremental_valuation_exact =
   let module Rng = Core.Rng in
   QCheck.Test.make
@@ -464,98 +468,159 @@ let qcheck_incremental_valuation_exact =
       let rng = Rng.create ~algo:Splitmix64 ~seed:(seed + 7919) () in
       let sys = F.create_system () in
       let base = F.base sys in
+      let amount () =
+        let rec pow10 e = if e = 0 then 1 else 10 * pow10 (e - 1) in
+        1 + Rng.int_below rng (pow10 (Rng.int_below rng 13))
+      in
       let currencies = ref [ base ] in
       let tickets = ref [] in
+      let transfers = ref [] in
+      let pick l = Rng.choose rng (Array.of_list l) in
+      let non_base () = List.filter (fun c -> not (F.is_base c)) !currencies in
       (* multi-level graph: each currency is funded from a random earlier
          one, so chains several levels deep (and diamonds) appear *)
-      let mk_currency i =
-        let from = Rng.choose rng (Array.of_list !currencies) in
-        let c = F.make_currency sys ~name:(Printf.sprintf "q%d-%d" seed i) in
-        let t = F.issue sys ~currency:from ~amount:(1 + Rng.int_below rng 400) in
+      let next_name = ref 0 in
+      let mk_currency () =
+        let from = pick !currencies in
+        incr next_name;
+        let c = F.make_currency sys ~name:(Printf.sprintf "q%d-%d" seed !next_name) in
+        let t = F.issue sys ~currency:from ~amount:(amount ()) in
         F.fund sys ~ticket:t ~currency:c;
         tickets := t :: !tickets;
-        currencies := c :: !currencies
+        currencies := c :: !currencies;
+        c
       in
-      for i = 0 to 5 + Rng.int_below rng 6 do
-        mk_currency i
+      for _ = 0 to 5 + Rng.int_below rng 6 do
+        ignore (mk_currency ())
       done;
       List.iter
         (fun c ->
           if (not (F.is_base c)) && Rng.bool rng then begin
-            let t = F.issue sys ~currency:c ~amount:(1 + Rng.int_below rng 100) in
+            let t = F.issue sys ~currency:c ~amount:(amount ()) in
             F.hold sys t;
             tickets := t :: !tickets
           end)
         !currencies;
-      (* subscribe like a consumer: accumulate dirtied currency ids *)
-      let dirt = Hashtbl.create 32 in
+      (* the consumer: last read value per tracked currency, refreshed only
+         for the currencies events reported *)
+      let seen = Hashtbl.create 32 in
+      let reported = ref [] in
       let sub =
-        F.on_change sys (fun ch ->
-            List.iter
-              (fun c -> Hashtbl.replace dirt (F.currency_id c) ())
-              (F.changed ch))
+        F.on_change sys (fun ch -> F.iter_changed ch (fun c -> reported := c :: !reported))
       in
-      (* last observed (value, unit) per currency, read through the caches *)
+      let read c = Hashtbl.replace seen (F.currency_id c) (c, F.currency_value sys c) in
+      List.iter read !currencies;
+      (* everything-observed shadow for the announce check *)
+      let dirt = Hashtbl.create 32 in
+      let sub_dirt =
+        F.on_change sys (fun ch ->
+            F.iter_changed ch (fun c -> Hashtbl.replace dirt (F.currency_id c) ()))
+      in
       let shadow = Hashtbl.create 32 in
       let observe_all () =
         List.iter
           (fun c ->
             Hashtbl.replace shadow (F.currency_id c)
               (F.currency_value sys c, F.unit_value sys c))
-          (F.currencies sys)
+          !currencies;
+        Hashtbl.reset dirt
       in
       observe_all ();
-      Hashtbl.reset dirt;
+      let forget c =
+        Hashtbl.remove seen (F.currency_id c);
+        Hashtbl.remove shadow (F.currency_id c);
+        currencies := List.filter (fun c' -> c' != c) !currencies
+      in
+      let drop t =
+        tickets := List.filter (fun t' -> t' != t) !tickets;
+        transfers := List.filter (fun t' -> t' != t) !transfers
+      in
       let ok = ref true in
-      for i = 0 to 29 do
-        (match Rng.int_below rng 7 with
-        | 0 -> mk_currency (100 + i)
+      for _ = 0 to 29 do
+        (match Rng.int_below rng 10 with
+        | 0 -> read (mk_currency ())
         | 1 ->
-            let denom = Rng.choose rng (Array.of_list !currencies) in
-            tickets :=
-              F.issue sys ~currency:denom ~amount:(Rng.int_below rng 200)
-              :: !tickets
+            tickets := F.issue sys ~currency:(pick !currencies) ~amount:(amount ()) :: !tickets
         | 2 when !tickets <> [] -> (
-            let t = Rng.choose rng (Array.of_list !tickets) in
-            let c = Rng.choose rng (Array.of_list !currencies) in
-            try F.fund sys ~ticket:t ~currency:c
+            try F.fund sys ~ticket:(pick !tickets) ~currency:(pick !currencies)
             with F.Cycle _ | Invalid_argument _ -> ())
         | 3 when !tickets <> [] -> (
-            let t = Rng.choose rng (Array.of_list !tickets) in
-            try F.hold sys t with Invalid_argument _ -> ())
+            try F.hold sys (pick !tickets) with Invalid_argument _ -> ())
         | 4 when !tickets <> [] -> (
-            let t = Rng.choose rng (Array.of_list !tickets) in
+            let t = pick !tickets in
             try if Rng.bool rng then F.suspend sys t else F.resume sys t
             with Invalid_argument _ -> ())
         | 5 when !tickets <> [] -> (
-            let t = Rng.choose rng (Array.of_list !tickets) in
-            try F.set_amount sys t (Rng.int_below rng 300)
+            let t = pick !tickets in
+            try F.set_amount sys t (if Rng.int_below rng 8 = 0 then 0 else amount ())
             with Invalid_argument _ -> ())
         | 6 when !tickets <> [] ->
-            let t = Rng.choose rng (Array.of_list !tickets) in
+            let t = pick !tickets in
             (try F.destroy_ticket sys t with Invalid_argument _ -> ());
-            tickets := List.filter (fun t' -> t' != t) !tickets
+            drop t
+        | 7 -> (
+            (* donate: a ticket in the source's currency funds the target *)
+            match non_base () with
+            | _ :: _ :: _ as l -> (
+                let src = pick l and dst = pick l in
+                let t = F.issue sys ~currency:src ~amount:(amount ()) in
+                tickets := t :: !tickets;
+                try
+                  F.fund sys ~ticket:t ~currency:dst;
+                  transfers := t :: !transfers
+                with F.Cycle _ | Invalid_argument _ -> ())
+            | _ -> ())
+        | 8 when !transfers <> [] ->
+            (* revoke *)
+            let t = pick !transfers in
+            F.destroy_ticket sys t;
+            drop t
+        | 9 -> (
+            (* tear a currency down and remove it; its slot is recycled by
+               the next creation *)
+            match non_base () with
+            | [] -> ()
+            | l ->
+                let c = pick l in
+                List.iter
+                  (fun t ->
+                    F.destroy_ticket sys t;
+                    drop t)
+                  (F.backing_tickets sys c @ F.issued_tickets sys c);
+                F.remove_currency sys c;
+                forget c;
+                if Rng.bool rng then read (mk_currency ()))
         | _ -> ());
-        (* after each mutation: exact cache agreement, and any move since
-           the last observation must have been announced *)
+        (* the consumer re-reads what was reported, and only that *)
         List.iter
-          (fun c ->
-            let fresh_v = scratch_value sys c and fresh_u = scratch_unit sys c in
-            let cached_v = F.currency_value sys c in
-            let cached_u = F.unit_value sys c in
-            if cached_v <> fresh_v || cached_u <> fresh_u then ok := false;
-            (match Hashtbl.find_opt shadow (F.currency_id c) with
-            | Some (ov, ou)
-              when (ov <> cached_v || ou <> cached_u)
-                   && not (Hashtbl.mem dirt (F.currency_id c)) ->
-                ok := false
-            | _ -> ());
-            Hashtbl.replace shadow (F.currency_id c) (cached_v, cached_u))
-          (F.currencies sys);
-        Hashtbl.reset dirt;
-        F.check_invariants sys
+          (fun c -> if Hashtbl.mem seen (F.currency_id c) then read c)
+          !reported;
+        reported := [];
+        Hashtbl.iter
+          (fun _ (c, v) -> if v <> F.uncached_currency_value sys c then ok := false)
+          seen;
+        F.check_invariants sys;
+        (* every few mutations: full exact cache agreement, and any move
+           since the last full observation must have been announced *)
+        if Rng.int_below rng 4 = 0 then begin
+          List.iter
+            (fun c ->
+              let fresh_v = scratch_value sys c and fresh_u = scratch_unit sys c in
+              let cached_v = F.currency_value sys c in
+              let cached_u = F.unit_value sys c in
+              if cached_v <> fresh_v || cached_u <> fresh_u then ok := false;
+              match Hashtbl.find_opt shadow (F.currency_id c) with
+              | Some (ov, ou)
+                when (ov <> cached_v || ou <> cached_u)
+                     && not (Hashtbl.mem dirt (F.currency_id c)) ->
+                  ok := false
+              | _ -> ())
+            !currencies;
+          observe_all ()
+        end
       done;
       F.unsubscribe sys sub;
+      F.unsubscribe sys sub_dirt;
       !ok)
 
 let test_pp_smoke () =
@@ -571,15 +636,14 @@ let test_pp_smoke () =
     (Core.Corpus.count_substring ~haystack:ts ~needle:"task2" > 0)
 
 let test_valuation_snapshot_consistent () =
-  (* one snapshot values many tickets coherently and cheaply *)
+  (* one cached graph values many tickets coherently and cheaply *)
   let sys, _, _, _, _, task2, task3, _, t2, t3, t4 = figure3 () in
-  let v = F.Valuation.make sys in
-  checkf "t2 via snapshot" 400. (F.Valuation.ticket_value v t2);
-  checkf "t3 via snapshot" 600. (F.Valuation.ticket_value v t3);
-  checkf "t4 via snapshot" 2000. (F.Valuation.ticket_value v t4);
-  checkf "currency via snapshot" 1000. (F.Valuation.currency_value v task2);
-  checkf "unit value" 2. (F.Valuation.unit_value v task2);
-  checkf "unit value task3" 20. (F.Valuation.unit_value v task3)
+  checkf "t2" 400. (F.ticket_value sys t2);
+  checkf "t3" 600. (F.ticket_value sys t3);
+  checkf "t4" 2000. (F.ticket_value sys t4);
+  checkf "currency" 1000. (F.currency_value sys task2);
+  checkf "unit value" 2. (F.unit_value sys task2);
+  checkf "unit value task3" 20. (F.unit_value sys task3)
 
 let test_to_dot () =
   let sys, _, _, _, _task1, _, _, _, _, _, _ = figure3 () in

@@ -393,40 +393,52 @@ let tracker_setup () =
   let sys = F.create_system () in
   let tr = Fd.Tracker.attach sys in
   let cur = F.make_currency sys ~name:"tenant" in
+  Fd.Tracker.watch tr cur "tenant";
   let tk = F.issue sys ~currency:(F.base sys) ~amount:100 in
   F.hold sys tk;
-  (* holding dirties the base currency; start the tests from a clean slate *)
-  ignore (Fd.Tracker.drain tr);
   (sys, tr, cur, tk)
 
+(* Drain, collecting the clients handed out. *)
+let drain tr =
+  let got = ref [] in
+  match Fd.Tracker.drain tr (fun c -> got := c :: !got) with
+  | `Dirtied -> `Dirtied (List.rev !got)
+  | `All -> `All
+  | `None -> `None
+
 let dirtied = function
-  | `Dirtied cids -> List.sort compare cids
+  | `Dirtied clients -> clients
   | `All -> Alcotest.fail "expected `Dirtied, got `All"
   | `None -> Alcotest.fail "expected `Dirtied, got `None"
 
 let test_tracker_force_drains_all_once () =
   let _, tr, _, _ = tracker_setup () in
   Fd.Tracker.force tr;
-  (match Fd.Tracker.drain tr with
+  (match drain tr with
   | `All -> ()
   | `Dirtied _ | `None -> Alcotest.fail "forced tracker must drain `All");
-  match Fd.Tracker.drain tr with
+  match drain tr with
   | `None -> ()
   | `All -> Alcotest.fail "`All must be consumed by the first drain"
   | `Dirtied _ -> Alcotest.fail "no mutations since the forced drain"
 
 let test_tracker_force_clears_stale_pending () =
-  let sys, tr, _, tk = tracker_setup () in
-  (* dirty some currencies, then force: the full drain subsumes them and
-     they must not resurface as a stale `Dirtied on the next drain *)
+  let sys, tr, cur, _ = tracker_setup () in
+  let tk = F.issue sys ~currency:cur ~amount:10 in
+  F.hold sys tk;
+  ignore (F.currency_value sys cur);
+  (* dirty the watched currency, then force: the full drain subsumes it and
+     it must not resurface as a stale `Dirtied on the next drain *)
   F.set_amount sys tk 150;
+  checkb "mutation queued the watched currency" true
+    (Fd.Tracker.pending tr = [ cur ]);
   Fd.Tracker.force tr;
-  (match Fd.Tracker.drain tr with
+  (match drain tr with
   | `All -> ()
-  | `Dirtied _ | `None -> Alcotest.fail "force wins over pending cids");
-  match Fd.Tracker.drain tr with
+  | `Dirtied _ | `None -> Alcotest.fail "force wins over pending currencies");
+  match drain tr with
   | `None -> ()
-  | `All | `Dirtied _ -> Alcotest.fail "stale cids leaked past a full drain"
+  | `All | `Dirtied _ -> Alcotest.fail "stale currencies leaked past a full drain"
 
 let test_tracker_mutations_between_drains_surface () =
   let sys, tr, cur, _ = tracker_setup () in
@@ -436,25 +448,171 @@ let test_tracker_mutations_between_drains_surface () =
      ("currencies never read by anyone may stay stale"), so read the value
      first — exactly what a manager's revalue step does before a draw *)
   ignore (F.currency_value sys cur);
-  ignore (Fd.Tracker.drain tr);
+  ignore (drain tr);
   F.set_amount sys tk 20;
-  let d1 = dirtied (Fd.Tracker.drain tr) in
-  checkb "mutation dirties the read currency" true
-    (List.mem (F.currency_id cur) d1);
-  (match Fd.Tracker.drain tr with
+  let d1 = dirtied (drain tr) in
+  checkb "mutation dirties the read currency" true (d1 = [ "tenant" ]);
+  (match drain tr with
   | `None -> ()
-  | `All | `Dirtied _ -> Alcotest.fail "drain must consume pending cids");
+  | `All | `Dirtied _ -> Alcotest.fail "drain must consume pending currencies");
   (* a mutation landing after a drain and the manager's revalue (i.e.
      between revalue and the draw itself) must surface on the NEXT drain,
      not vanish *)
   ignore (F.currency_value sys cur);
   F.set_amount sys tk 30;
-  let d2 = dirtied (Fd.Tracker.drain tr) in
-  checkb "post-drain mutation surfaces next drain" true
-    (List.mem (F.currency_id cur) d2);
-  match Fd.Tracker.drain tr with
+  let d2 = dirtied (drain tr) in
+  checkb "post-drain mutation surfaces next drain" true (d2 = [ "tenant" ]);
+  match drain tr with
   | `None -> ()
   | `All | `Dirtied _ -> Alcotest.fail "second drain must be empty"
+
+(* Interest filtering, driven through the managers themselves: a funding
+   system shaped like a scheduler's — tenant currencies that fund the
+   manager's clients and, below them, thread-like currencies that fund
+   none, plus base-funded held tickets — takes random mutations, and every
+   non-client currency is re-read after each one (as a scheduler's draws
+   would), so they all keep flipping. After each mutation the manager's
+   tracker (peeked, not drained) must hold only currencies that fund one of
+   the manager's clients, and every client funding currency whose value
+   moved since the manager last revalued; the manager's own refresh (a
+   served slot, a faulting access) drains it. *)
+let interest_world seed =
+  let r = rng seed in
+  let sys = F.create_system () in
+  let base = F.base sys in
+  let tenants =
+    Array.init 3 (fun i ->
+        let c = F.make_currency sys ~name:(Printf.sprintf "tenant%d" i) in
+        F.fund sys ~ticket:(F.issue sys ~currency:base ~amount:(100 * (i + 1)))
+          ~currency:c;
+        c)
+  in
+  let held =
+    ref
+      (List.init 3 (fun _ ->
+           let tk = F.issue sys ~currency:base ~amount:(1 + Rng.int_below r 50) in
+           F.hold sys tk;
+           tk))
+  in
+  let threads =
+    Array.init 12 (fun i ->
+        let c = F.make_currency sys ~name:(Printf.sprintf "thread%d" i) in
+        F.fund sys
+          ~ticket:(F.issue sys ~currency:tenants.(i mod 3) ~amount:(1 + Rng.int_below r 50))
+          ~currency:c;
+        let tk = F.issue sys ~currency:c ~amount:1000 in
+        F.hold sys tk;
+        held := tk :: !held;
+        c)
+  in
+  (r, sys, tenants, threads, held)
+
+let check_interest ~what sys tr ~client_curs ~last =
+  let pending = Fd.Tracker.pending tr in
+  List.iter
+    (fun c ->
+      if not (List.exists (( == ) c) client_curs) then
+        Alcotest.failf "%s: tracker holds %s, which funds no client" what
+          (F.currency_name c))
+    pending;
+  List.iter
+    (fun c ->
+      let before = List.assq c !last in
+      let now = (F.currency_value sys c, F.unit_value sys c) in
+      if now <> before && not (List.exists (( == ) c) pending) then
+        Alcotest.failf "%s: %s moved but is not pending" what (F.currency_name c))
+    client_curs
+
+let mutate r sys tenants threads held =
+  let pick a = a.(Rng.int_below r (Array.length a)) in
+  match Rng.int_below r 5 with
+  | 0 -> (
+      match !held with
+      | [] -> ()
+      | l -> F.set_amount sys (List.nth l (Rng.int_below r (List.length l))) (Rng.int_below r 2000))
+  | 1 ->
+      let tk = F.issue sys ~currency:(pick tenants) ~amount:(1 + Rng.int_below r 300) in
+      F.fund sys ~ticket:tk ~currency:(pick threads)
+  | 2 -> (
+      let l = !held in
+      let tk = List.nth l (Rng.int_below r (List.length l)) in
+      if F.is_active tk then F.suspend sys tk else F.resume sys tk)
+  | 3 ->
+      let tk = F.issue sys ~currency:(F.base sys) ~amount:(1 + Rng.int_below r 100) in
+      F.fund sys ~ticket:tk ~currency:(pick tenants)
+  | _ ->
+      let tk = F.issue sys ~currency:(pick threads) ~amount:(1 + Rng.int_below r 10) in
+      F.hold sys tk;
+      held := tk :: !held
+
+(* the scheduler's side: every currency but the clients' is read *)
+let read_others sys ~client_curs =
+  List.iter
+    (fun c ->
+      if not (List.exists (( == ) c) client_curs) then ignore (F.currency_value sys c))
+    (F.currencies sys)
+
+let snapshot sys curs = List.map (fun c -> (c, (F.currency_value sys c, F.unit_value sys c))) curs
+
+let test_tracker_interest_io () =
+  let r, sys, tenants, threads, held = interest_world 41 in
+  let dev = Io.create ~funding:sys ~rng:(rng 42) () in
+  let clients =
+    Array.init 4 (fun i ->
+        Io.add_funded_client dev ~name:(Printf.sprintf "io%d" i)
+          ~currency:tenants.(i mod 2) ())
+  in
+  let tr = Option.get (Io.funding_tracker dev) in
+  let client_curs = [ tenants.(0); tenants.(1) ] in
+  let last = ref (snapshot sys client_curs) in
+  for step = 1 to 400 do
+    mutate r sys tenants threads held;
+    check_interest ~what:(Printf.sprintf "io step %d" step) sys tr ~client_curs ~last;
+    read_others sys ~client_curs;
+    if step mod 7 = 0 then begin
+      Array.iter (fun c -> Io.submit dev c ~requests:1) clients;
+      ignore (Io.serve_slot dev);
+      (* the drain revalued every queued client; what the tracker holds now
+         was dirtied by the slot itself (a client going idle) *)
+      last := snapshot sys client_curs;
+      check_interest ~what:(Printf.sprintf "io slot %d" step) sys tr ~client_curs
+        ~last
+    end
+  done;
+  checkb "tenant2 funds no client and never queued" true
+    (not (List.exists (( == ) tenants.(2)) (Fd.Tracker.pending tr)))
+
+let test_tracker_interest_memory () =
+  let r, sys, tenants, threads, held = interest_world 43 in
+  let pool = Im.create ~funding:sys ~frames:8 ~rng:(rng 44) () in
+  let clients =
+    Array.init 3 (fun i ->
+        Im.add_funded_client pool ~name:(Printf.sprintf "m%d" i) ~working_set:16
+          ~currency:tenants.(if i = 2 then 0 else i) ())
+  in
+  let tr = Option.get (Im.funding_tracker pool) in
+  let client_curs = [ tenants.(0); tenants.(1) ] in
+  let last = ref (snapshot sys client_curs) in
+  let page = ref 0 in
+  for step = 1 to 400 do
+    mutate r sys tenants threads held;
+    check_interest ~what:(Printf.sprintf "memory step %d" step) sys tr ~client_curs
+      ~last;
+    read_others sys ~client_curs;
+    if step mod 5 = 0 then begin
+      (* fault until a victim lottery (and so a refresh) has run *)
+      let before = Array.fold_left (fun acc c -> acc + Im.evictions_suffered pool c) 0 clients in
+      let evicted () =
+        Array.fold_left (fun acc c -> acc + Im.evictions_suffered pool c) 0 clients > before
+      in
+      while not (evicted ()) do
+        incr page;
+        ignore (Im.access pool clients.(!page mod 3) (!page mod 16))
+      done;
+      last := snapshot sys client_curs;
+      checkb "drained by the victim lottery" true (Fd.Tracker.pending tr = [])
+    end
+  done
 
 let () =
   Alcotest.run "resmgr"
@@ -519,5 +677,9 @@ let () =
             test_tracker_force_clears_stale_pending;
           Alcotest.test_case "mutations between drains surface" `Quick
             test_tracker_mutations_between_drains_surface;
+          Alcotest.test_case "io: only client currencies, every move" `Quick
+            test_tracker_interest_io;
+          Alcotest.test_case "memory: only client currencies, every move" `Quick
+            test_tracker_interest_memory;
         ] );
     ]

@@ -26,7 +26,13 @@ let test_shard_tree_basic () =
   Shard_tree.set t 0 1.;
   checkf "total after rewrite" 4. (Shard_tree.total t);
   checki "max" 3 (Shard_tree.max_shard t);
-  checki "min (lowest id wins ties)" 2 (Shard_tree.min_shard t)
+  checki "min (lowest id wins ties)" 2 (Shard_tree.min_shard t);
+  Shard_tree.set t 2 1.;
+  (* masses 1/1/1/2: the tie among 0-2 goes to the fewest members *)
+  checki "least_loaded breaks mass ties by members" 1
+    (Shard_tree.least_loaded t ~members:[| 5; 3; 4; 0 |]);
+  checki "then by lowest id" 0
+    (Shard_tree.least_loaded t ~members:[| 3; 3; 4; 0 |])
 
 let test_shard_tree_pick () =
   let t = Shard_tree.create ~shards:3 in
@@ -246,6 +252,36 @@ let test_pinned_equivalence_qcheck =
       trace_of ~cpus:1 ~shards:1 ~pin:false ~seed ~horizon
       = trace_of ~cpus ~shards:cpus ~pin:true ~seed ~horizon)
 
+let test_spawn_then_fund_spreads () =
+  (* Threads are placed at spawn, before they are funded, so every shard
+     mass is still 0 when a burst of spawns is placed: ties must go to the
+     shard with the fewest threads, not pile onto shard 0 for rebalancing
+     to undo one migration at a time. *)
+  let k, ls = sharded_kernel ~shards:4 ~cpus:4 ~seed:7 () in
+  let base = Lottery_sched.base_currency ls in
+  let threads = List.init 402 (fun i -> spin k (Printf.sprintf "s%03d" i)) in
+  List.iteri
+    (fun i th ->
+      ignore
+        (Lottery_sched.fund_thread ls th ~amount:(1 + (i * 37 mod 100)) ~from:base))
+    threads;
+  let counts = Array.make 4 0 in
+  List.iter
+    (fun th ->
+      let s = Lottery_sched.shard_of ls th in
+      counts.(s) <- counts.(s) + 1)
+    threads;
+  Array.iteri
+    (fun i n ->
+      if abs ((4 * n) - 402) > 4 then
+        Alcotest.failf "shard %d holds %d of 402 threads (want 100.5 +- 1)" i n)
+    counts;
+  (* one round: every CPU selects once, rebalancing runs at each select *)
+  ignore (Kernel.run k ~until:(Time.ms 1));
+  checki "no migrations in the first round" 0 (Lottery_sched.migrations ls);
+  check (Alcotest.list Alcotest.string) "sharding audit clean" []
+    (Lottery_sched.check_sharding ls)
+
 let test_sharded_determinism () =
   (* same seed, same config, migration and stealing on -> byte-identical *)
   let run () =
@@ -405,6 +441,8 @@ let () =
             test_pinned_n_cpu_equals_1_cpu;
           QCheck_alcotest.to_alcotest test_pinned_equivalence_qcheck;
           Alcotest.test_case "deterministic replay" `Quick test_sharded_determinism;
+          Alcotest.test_case "spawn-then-fund spreads evenly" `Quick
+            test_spawn_then_fund_spreads;
           Alcotest.test_case "force_migrate and steal" `Quick
             test_force_migrate_and_steal;
           Alcotest.test_case "steal on an empty shard" `Quick
