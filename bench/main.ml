@@ -931,6 +931,29 @@ let smp_steal_test () =
 let smp_alloc_tests () =
   Test.make_grouped ~name:"smp" [ smp_migration_test (); smp_steal_test () ]
 
+(* Admission cost of one thread: minor words per Kernel.spawn + fund_thread
+   on a 4-shard Tree scheduler, over 10^4 threads whose names are built
+   before the count starts, so only the kernel's and the scheduler's own
+   allocation is charged. Spawning formats no name and hashes nothing, so
+   what remains is the per-thread records, option boxes and queue cells.
+   A straight Gc.minor_words difference, not a fit: the count is exact,
+   and the scale/spawn-fund:minor-words budget pins it. *)
+let spawn_fund_rows () =
+  let n = 10_000 in
+  let names = Array.init n (Printf.sprintf "t%d") in
+  let ls = smp_sched ~cpus:4 ~seed:29 in
+  let k = Core.Kernel.create ~cpus:4 ~sched:(Core.Lottery_sched.sched ls) () in
+  let base = Core.Lottery_sched.base_currency ls in
+  let body () = Core.Api.compute (Core.Time.ms 100) in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    let th = Core.Kernel.spawn k ~name:names.(i) body in
+    ignore
+      (Core.Lottery_sched.fund_thread ls th ~amount:(1 + (i mod 100)) ~from:base)
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  [ ("scale/spawn-fund:minor-words", words) ]
+
 (* Virtual-time throughput — the acceptance measure. Host wall-clock does
    not speed up when virtual CPUs are added (they all run on one host
    core); what sharding buys is virtual throughput: c CPUs serve c slices
@@ -1449,7 +1472,7 @@ let () =
             run_bench := false;
             run_obs := true),
         " run only the overhead families (obs-overhead/*, hotpath/*, \
-         batch-draw/*, draw-quiescent/*)" );
+         batch-draw/*, draw-quiescent/*, scale/spawn-fund)" );
       ( "--service-only",
         Arg.Unit
           (fun () ->
@@ -1504,7 +1527,8 @@ let () =
   then begin
     let rows =
       (if !run_bench then result_rows (benchmark ()) else [])
-      @ (if want_obs then obs_rows () @ hotpath_rows () else [])
+      @ (if want_obs then obs_rows () @ hotpath_rows () @ spawn_fund_rows ()
+         else [])
       @ (if want_service then service_rows () else [])
       @ (if want_smp then smp_rows () else [])
       @ (if !run_scale then scale_rows () else [])

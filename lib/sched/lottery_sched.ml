@@ -214,9 +214,7 @@ let state t th =
   | None ->
       if th.tslot < 0 then
         invalid_arg "Lottery_sched.state: thread already reaped";
-      let cur =
-        F.make_currency t.system ~name:(Printf.sprintf "thread:%d:%s" th.id th.name)
-      in
+      let cur = F.make_thread_currency t.system ~thread:th.id ~name:th.name in
       let competing = F.issue t.system ~currency:cur ~amount:competing_amount in
       let s =
         {
@@ -238,10 +236,12 @@ let state t th =
       t.st_tab <- ensure_cap t.st_tab th.tslot;
       t.wcache <- ensure_capf t.wcache th.tslot;
       t.ccache <- ensure_capf t.ccache th.tslot;
-      t.st_tab.(th.tslot) <- Some s;
+      (* one option box serves both tables *)
+      let o = Some s in
+      t.st_tab.(th.tslot) <- o;
       let cslot = F.currency_slot cur in
       t.by_cslot <- ensure_cap t.by_cslot cslot;
-      t.by_cslot.(cslot) <- Some s;
+      t.by_cslot.(cslot) <- o;
       s
 
 let thread_currency t th = (state t th).cur

@@ -70,7 +70,10 @@ val funding : t -> Lotto_tickets.Funding.system
 val base_currency : t -> Lotto_tickets.Funding.currency
 
 val make_currency : t -> string -> Lotto_tickets.Funding.currency
-(** A named user currency (raises [Funding.Duplicate_name] on clash). *)
+(** A named user currency (raises [Funding.Duplicate_name] when another
+    user currency has the name). Thread currencies hold no name, so a user
+    currency may be called [thread:0:a] without colliding with thread 0's
+    currency, and spawning never raises [Duplicate_name]. *)
 
 val fund_currency :
   t ->
@@ -97,7 +100,8 @@ val destroy_ticket : t -> Lotto_tickets.Funding.ticket -> unit
 
 val thread_currency : t -> Lotto_sim.Types.thread -> Lotto_tickets.Funding.currency
 (** The thread's private currency (created when the scheduler first sees
-    the thread). *)
+    the thread). It is unnamed ({!Lotto_tickets.Funding.make_thread_currency}):
+    it renders as [thread:<id>:<name>] but is never found by name. *)
 
 val thread_value : t -> Lotto_sim.Types.thread -> float
 (** Current draw weight in base units (funding value times any outstanding

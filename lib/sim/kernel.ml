@@ -27,9 +27,10 @@ type t = {
      anyone still holding them, but kernel iteration is O(live). *)
   th_slots : Slots.t;
   mutable th_tab : thread array; (* [||] until the first spawn *)
-  by_name : (string, thread) Hashtbl.t;
-      (* name -> first thread ever created with it (live or dead): O(1)
-         find_thread with the historical first-created-wins semantics *)
+  dead_by_name : (string, thread) Hashtbl.t;
+      (* name -> earliest-created thread with it that has exited, written at
+         exit so spawn indexes nothing; [find_thread] combines it with a
+         creation-order scan of the live threads *)
   mutable failed : (thread * exn) list; (* reverse order of death *)
   mutable idle : int;
   mutable slices : int;
@@ -83,7 +84,7 @@ let create ?(quantum = Time.ms 100) ?(cpus = 1) ~sched () =
     next_id = 0;
     th_slots = Slots.create ();
     th_tab = [||];
-    by_name = Hashtbl.create 64;
+    dead_by_name = Hashtbl.create 64;
     failed = [];
     idle = 0;
     slices = 0;
@@ -135,7 +136,6 @@ let spawn k ~name body =
   th.tslot <- s;
   k.th_tab <- Slots.grow_payload k.th_slots k.th_tab ~dummy:th;
   k.th_tab.(s) <- th;
-  if not (Hashtbl.mem k.by_name name) then Hashtbl.add k.by_name name th;
   k.sched.attach th;
   if observed k then emit k (Obs.Event.Spawn { who = actor th });
   th
@@ -255,6 +255,15 @@ let remove_one p lst =
       else true)
     lst
 
+(* Drop the woken thread [w] from its wait list. A thread sits on a wait
+   list exactly once (the invariant audit checks this), so when [w] is the
+   head — every FIFO wakeup — the tail is the answer and nothing is
+   rebuilt; a lottery wakeup may pick anyone and pays the O(waiters)
+   filter. *)
+let without_waiter w = function
+  | h :: rest when h.id = w.id -> rest
+  | l -> List.filter (fun w' -> w'.id <> w.id) l
+
 let donate k ~src ~dst =
   src.donating_to <- dst :: src.donating_to;
   dst.donors <- src :: dst.donors;
@@ -309,7 +318,7 @@ let release_mutex k who m =
             | Some w -> w
             | None -> List.hd waiters)
       in
-      m.lock_waiters <- List.filter (fun w -> w.id <> next.id) waiters;
+      m.lock_waiters <- without_waiter next waiters;
       grant_mutex k m next ~contended:true;
       (match next.pending with
       | Waiting_lock { k = kn; _ } -> next.pending <- Ready_unit kn
@@ -367,6 +376,9 @@ let finish k th exn_opt =
     th.donors;
   th.donors <- [];
   k.sched.detach th;
+  (match Hashtbl.find_opt k.dead_by_name th.name with
+  | Some d when d.id < th.id -> ()
+  | _ -> Hashtbl.replace k.dead_by_name th.name th);
   (* reap: recycle the arena slot; the record stays valid for holders *)
   if th.tslot >= 0 then begin
     Slots.release k.th_slots th.tslot;
@@ -489,7 +501,7 @@ let reacquire_after_signal k th m kc =
       donate k ~src:th ~dst:owner
 
 let wake_cond_waiter k c w =
-  c.cond_waiters <- List.filter (fun w' -> w'.id <> w.id) c.cond_waiters;
+  c.cond_waiters <- without_waiter w c.cond_waiters;
   match w.pending with
   | Waiting_cond { mutex; k = kc; _ } -> reacquire_after_signal k w mutex kc
   | _ -> assert false
@@ -517,7 +529,7 @@ let do_sem_post k sm =
   match choose_waiter k sm.sem_policy sm.sem_waiters with
   | None -> sm.count <- sm.count + 1
   | Some w -> (
-      sm.sem_waiters <- List.filter (fun w' -> w'.id <> w.id) sm.sem_waiters;
+      sm.sem_waiters <- without_waiter w sm.sem_waiters;
       match w.pending with
       | Waiting_sem { k = kc; _ } ->
           w.pending <- Ready_unit kc;
@@ -1133,7 +1145,21 @@ let live_thread_count k = Slots.live_count k.th_slots
 let thread_slot th = th.tslot
 let thread_generation k th = if th.tslot < 0 then -1 else Slots.gen k.th_slots th.tslot
 
-let find_thread k name = Hashtbl.find_opt k.by_name name
+(* The first-created thread with [name] is either live — then the
+   creation-order scan meets it before any later live namesake — or dead,
+   and then it is the earliest-created dead one, the one [finish] kept.
+   Thread ids grow with creation, so the smaller id of the two wins. *)
+let find_thread k name =
+  let live = ref None in
+  ignore
+    (Slots.exists_live k.th_slots (fun s ->
+         let th = k.th_tab.(s) in
+         if String.equal th.name name then live := Some th;
+         Option.is_some !live));
+  match (!live, Hashtbl.find_opt k.dead_by_name name) with
+  | Some l, (Some d as dead) when d.id < l.id -> dead
+  | (Some _ as live), _ -> live
+  | None, dead -> dead
 
 let set_pre_select k f = k.pre_select <- f
 let set_profiler k p = k.profiler <- p

@@ -133,10 +133,14 @@ val thread_generation : t -> Types.thread -> int
     handle-recycling suite. *)
 
 val find_thread : t -> string -> Types.thread option
-(** O(1) lookup by name. Thread names are not required to be unique; when
+(** Lookup by name. Thread names are not required to be unique; when
     several threads have shared [name], the {e first-created} one is
     returned (even if it has already exited), matching the historical
-    list-scan semantics. *)
+    list-scan semantics. Spawning indexes nothing, so this is a diagnostic
+    lookup, not a hot-path one: O(live threads) for a creation-order scan
+    of the live threads, plus one hash lookup in a record of the
+    earliest-created exited thread per name, written when a thread
+    exits. *)
 
 val failures : t -> (Types.thread * exn) list
 

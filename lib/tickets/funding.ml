@@ -24,6 +24,11 @@ and currency = {
           index per-currency state arrays by it, guarding against recycling
           with a physical-equality check on the stored currency. *)
   cname : string;
+  owner : int;
+      (** [-1] for the base and user currencies, which go by [cname] and
+          are indexed in [by_name]. Otherwise the id of the scheduler thread
+          this currency funds: such a currency is never indexed, and its
+          name [thread:<owner>:<cname>] is formatted only when asked for. *)
   base_p : bool;
   (* Issued/backing edges live as intrusive doubly-linked lists threaded
      through the system's adjacency arrays ([i_prev]/[i_next] for the
@@ -92,6 +97,7 @@ let create_system () =
       cid = 0;
       cslot = base_slot;
       cname = "base";
+      owner = -1;
       base_p = true;
       issued_head = -1;
       backing_head = -1;
@@ -280,8 +286,7 @@ let rec invalidate sys c =
     end
   end
 
-let make_currency sys ~name =
-  if Hashtbl.mem sys.by_name name then raise (Duplicate_name name);
+let add_currency sys ~name ~owner =
   let cid = fresh_id sys in
   let s = Slots.alloc sys.cur_slots in
   let c =
@@ -289,6 +294,7 @@ let make_currency sys ~name =
       cid;
       cslot = s;
       cname = name;
+      owner;
       base_p = false;
       issued_head = -1;
       backing_head = -1;
@@ -302,11 +308,27 @@ let make_currency sys ~name =
   in
   sys.cur_tab <- Slots.grow_payload sys.cur_slots sys.cur_tab ~dummy:c;
   sys.cur_tab.(s) <- c;
+  c
+
+let make_currency sys ~name =
+  if Hashtbl.mem sys.by_name name then raise (Duplicate_name name);
+  let c = add_currency sys ~name ~owner:(-1) in
   Hashtbl.replace sys.by_name name c;
   c
 
+(* A thread currency costs one record and one arena slot: no name is
+   formatted and nothing is hashed, so spawning and funding a thread stays
+   O(1) however many threads exist. *)
+let make_thread_currency sys ~thread ~name =
+  if thread < 0 then
+    invalid_arg "Funding.make_thread_currency: negative thread id";
+  add_currency sys ~name ~owner:thread
+
 let find_currency sys name = Hashtbl.find_opt sys.by_name name
-let currency_name c = c.cname
+
+let currency_name c =
+  if c.owner < 0 then c.cname else Printf.sprintf "thread:%d:%s" c.owner c.cname
+
 let currency_id c = c.cid
 let currency_slot c = c.cslot
 
@@ -326,11 +348,11 @@ let remove_currency sys c =
   if c.base_p then raise (In_use "base currency cannot be removed");
   if not c.alive then invalid_arg "Funding.remove_currency: already removed";
   if c.issued_head >= 0 then
-    raise (In_use (c.cname ^ " still has issued tickets"));
+    raise (In_use (currency_name c ^ " still has issued tickets"));
   if c.backing_head >= 0 then
-    raise (In_use (c.cname ^ " still has backing tickets"));
+    raise (In_use (currency_name c ^ " still has backing tickets"));
   c.alive <- false;
-  Hashtbl.remove sys.by_name c.cname;
+  if c.owner < 0 then Hashtbl.remove sys.by_name c.cname;
   Slots.release sys.cur_slots c.cslot;
   c.cslot <- -1
 
@@ -479,7 +501,7 @@ let fund sys ~ticket ~currency =
     raise
       (Cycle
          (Printf.sprintf "funding %s with a ticket denominated in %s"
-            currency.cname ticket.denom.cname));
+            (currency_name currency) (currency_name ticket.denom)));
   ticket.attach <- Backs currency;
   link_backing sys currency ticket.tkslot;
   invalidate sys currency;
@@ -638,20 +660,21 @@ let check_invariants sys =
   let fail fmt = Printf.ksprintf failwith fmt in
   Slots.iter_live sys.cur_slots (fun slot ->
       let c = sys.cur_tab.(slot) in
-      if not c.alive then fail "dead currency %s in arena" c.cname;
+      if not c.alive then fail "dead currency %s in arena" (currency_name c);
       if c.cslot <> slot then
-        fail "currency %s: slot field %d <> arena slot %d" c.cname c.cslot slot;
+        fail "currency %s: slot field %d <> arena slot %d" (currency_name c)
+          c.cslot slot;
       (* Active amount equals sum of active issued ticket amounts. *)
       let sum = ref 0 in
       iter_issued sys c (fun t -> if t.active then sum := !sum + t.amount);
       if !sum <> c.active_amount then
-        fail "currency %s: active_amount %d <> recomputed %d" c.cname
+        fail "currency %s: active_amount %d <> recomputed %d" (currency_name c)
           c.active_amount !sum;
       (* A valid cache must agree exactly with a from-scratch valuation. *)
       if c.cache_ok then begin
         let fresh = uncached_currency_value sys c in
         if c.val_cache <> fresh then
-          fail "currency %s: cached value %g <> recomputed %g" c.cname
+          fail "currency %s: cached value %g <> recomputed %g" (currency_name c)
             c.val_cache fresh;
         let fresh_unit =
           if c.base_p then 1.
@@ -659,29 +682,31 @@ let check_invariants sys =
           else fresh /. float_of_int c.active_amount
         in
         if (not c.base_p) && c.unit_cache <> fresh_unit then
-          fail "currency %s: cached unit value %g <> recomputed %g" c.cname
-            c.unit_cache fresh_unit
+          fail "currency %s: cached unit value %g <> recomputed %g"
+            (currency_name c) c.unit_cache fresh_unit
       end;
       (* Attachment symmetry for backing tickets, plus slot coherence. *)
       iter_backing sys c (fun t ->
           (match t.attach with
           | Backs c' when c'.cid = c.cid -> ()
           | _ ->
-              fail "currency %s: backing ticket %d not attached to it" c.cname
-                t.tid);
-          if t.destroyed then fail "currency %s: destroyed backing ticket" c.cname;
+              fail "currency %s: backing ticket %d not attached to it"
+                (currency_name c) t.tid);
+          if t.destroyed then
+            fail "currency %s: destroyed backing ticket" (currency_name c);
           (* Propagation: a backing ticket is active iff the funded currency
              has a nonzero active amount. *)
           if t.active <> (c.active_amount > 0) then
             fail "currency %s: backing ticket %d activity %b vs amount %d"
-              c.cname t.tid t.active c.active_amount);
+              (currency_name c) t.tid t.active c.active_amount);
       iter_issued sys c (fun t ->
-          if t.destroyed then fail "currency %s: destroyed issued ticket" c.cname;
+          if t.destroyed then
+            fail "currency %s: destroyed issued ticket" (currency_name c);
           if t.tkslot < 0 || not (sys.tk_tab.(t.tkslot) == t) then
             fail "ticket %d: stale arena slot %d" t.tid t.tkslot;
           if t.denom.cid <> c.cid then
-            fail "currency %s: issued ticket %d has wrong denomination" c.cname
-              t.tid;
+            fail "currency %s: issued ticket %d has wrong denomination"
+              (currency_name c) t.tid;
           match t.attach with
           | Unattached ->
               if t.active then fail "unattached ticket %d is active" t.tid
@@ -689,14 +714,14 @@ let check_invariants sys =
           | Backs c' ->
               if not (exists_backing sys c' (fun b -> b.tid = t.tid)) then
                 fail "ticket %d claims to back %s but is not listed" t.tid
-                  c'.cname);
+                  (currency_name c'));
       (* Acyclicity: depth-first walk with a white/grey/black marking, so
          shared sub-graphs are visited once instead of once per path. *)
       let color = Hashtbl.create 16 in
       let rec walk c' =
         match Hashtbl.find_opt color c'.cid with
         | Some `Done -> ()
-        | Some `On_path -> fail "cycle through currency %s" c'.cname
+        | Some `On_path -> fail "cycle through currency %s" (currency_name c')
         | None ->
             Hashtbl.replace color c'.cid `On_path;
             iter_backing sys c' (fun b -> walk b.denom);
@@ -705,16 +730,16 @@ let check_invariants sys =
       walk c)
 
 let pp_ticket fmt t =
-  Format.fprintf fmt "#%d %d.%s%s%s" t.tid t.amount t.denom.cname
+  Format.fprintf fmt "#%d %d.%s%s%s" t.tid t.amount (currency_name t.denom)
     (if t.active then " [active]" else "")
     (match t.attach with
     | Unattached -> ""
     | Held -> " held"
-    | Backs c -> " -> " ^ c.cname)
+    | Backs c -> " -> " ^ currency_name c)
 
 let pp_currency sys fmt c =
   Format.fprintf fmt "@[<v 2>currency %s (active %d)@,issued: %a@,backing: %a@]"
-    c.cname c.active_amount
+    (currency_name c) c.active_amount
     (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_ticket)
     (issued_tickets sys c)
     (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_ticket)
@@ -727,7 +752,7 @@ let to_dot sys =
     (fun c ->
       Buffer.add_string buf
         (Printf.sprintf "  c%d [shape=box, label=\"%s\\nactive %d\"];\n" c.cid
-           c.cname c.active_amount))
+           (currency_name c) c.active_amount))
     (currencies sys);
   List.iter
     (fun c ->
@@ -737,12 +762,12 @@ let to_dot sys =
           | Backs target ->
               Buffer.add_string buf
                 (Printf.sprintf "  c%d -> c%d [label=\"%d.%s\", style=%s];\n"
-                   c.cid target.cid t.amount c.cname style)
+                   c.cid target.cid t.amount (currency_name c) style)
           | Held ->
               Buffer.add_string buf
                 (Printf.sprintf
                    "  t%d [shape=ellipse, label=\"ticket %d.%s\"];\n  c%d -> t%d [style=%s];\n"
-                   t.tid t.amount c.cname c.cid t.tid style)
+                   t.tid t.amount (currency_name c) c.cid t.tid style)
           | Unattached -> ()))
     (currencies sys);
   Buffer.add_string buf "}\n";

@@ -75,10 +75,26 @@ val unsubscribe : system -> subscription -> unit
 (** Idempotent. *)
 
 val make_currency : system -> name:string -> currency
-(** Raises {!Duplicate_name} if [name] is taken ("base" is always taken). *)
+(** A named user currency, entered in the system's unique-name index so
+    {!find_currency} can return it. Raises {!Duplicate_name} if [name] is
+    taken by another user currency ("base" is always taken). Thread
+    currencies never take a name, whatever they render as. *)
+
+val make_thread_currency : system -> thread:int -> name:string -> currency
+(** A scheduler-internal currency funding the thread with id [thread] and
+    name [name]. It is unnamed: not entered in the name index, invisible
+    to {!find_currency}, never raises {!Duplicate_name}, and creating it
+    formats no string and hashes nothing. {!currency_name} renders it as
+    [thread:<thread>:<name>] on demand. Raises [Invalid_argument] when
+    [thread] is negative. *)
 
 val find_currency : system -> string -> currency option
+(** The live user currency (or base) with this name. Thread currencies
+    are never found. *)
+
 val currency_name : currency -> string
+(** The name a user currency was made with; [thread:<id>:<name>] for a
+    thread currency, formatted afresh on each call. *)
 
 val currency_id : currency -> int
 (** Unique forever — ids are never recycled. *)

@@ -234,6 +234,47 @@ let test_duplicate_names () =
     | _ -> false
     | exception F.Duplicate_name _ -> true)
 
+(* Thread currencies are unnamed: never indexed, never a clash, rendered
+   as thread:<id>:<name> wherever a name is printed. *)
+let test_thread_currencies_unnamed () =
+  let sys = F.create_system () in
+  let finds name c =
+    match F.find_currency sys name with Some c' -> c' == c | None -> false
+  in
+  let rendered = F.make_currency sys ~name:"thread:3:w" in
+  let raw = F.make_currency sys ~name:"w" in
+  let th = F.make_thread_currency sys ~thread:3 ~name:"w" in
+  let twin = F.make_thread_currency sys ~thread:3 ~name:"w" in
+  check Alcotest.string "rendered on demand" "thread:3:w" (F.currency_name th);
+  checkb "distinct records" true (th != twin);
+  checkb "rendered name finds the user's currency" true
+    (finds "thread:3:w" rendered);
+  checkb "raw name finds the user's currency" true (finds "w" raw);
+  F.remove_currency sys twin;
+  checkb "removing a thread currency keeps the user's names" true
+    (finds "thread:3:w" rendered && finds "w" raw);
+  let v = F.make_thread_currency sys ~thread:5 ~name:"v" in
+  F.fund sys ~ticket:(F.issue sys ~currency:(F.base sys) ~amount:10) ~currency:v;
+  let a = F.make_currency sys ~name:"a" in
+  F.fund sys ~ticket:(F.issue sys ~currency:v ~amount:1) ~currency:a;
+  check Alcotest.string "cycle message renders the name"
+    "funding thread:5:v with a ticket denominated in a"
+    (match F.fund sys ~ticket:(F.issue sys ~currency:a ~amount:1) ~currency:v with
+    | () -> "no cycle"
+    | exception F.Cycle msg -> msg);
+  let has hay needle = Core.Corpus.count_substring ~haystack:hay ~needle > 0 in
+  checkb "dot renders the name" true
+    (has (F.to_dot sys) "label=\"thread:5:v\\nactive");
+  checkb "pp renders the name" true
+    (has (Format.asprintf "%a" (F.pp_currency sys) v) "currency thread:5:v");
+  checkb "a user may take a live thread currency's rendered name" true
+    (finds "thread:5:v" (F.make_currency sys ~name:"thread:5:v"));
+  checkb "negative thread id rejected" true
+    (match F.make_thread_currency sys ~thread:(-1) ~name:"x" with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  F.check_invariants sys
+
 let test_find_and_list () =
   let sys = F.create_system () in
   let a = F.make_currency sys ~name:"a" in
@@ -683,6 +724,8 @@ let () =
           Alcotest.test_case "direct cycle rejected" `Quick test_cycle_rejected;
           Alcotest.test_case "deep cycle rejected" `Quick test_deep_cycle_rejected;
           Alcotest.test_case "duplicate names" `Quick test_duplicate_names;
+          Alcotest.test_case "thread currencies are unnamed" `Quick
+            test_thread_currencies_unnamed;
           Alcotest.test_case "find and list" `Quick test_find_and_list;
         ] );
       ( "lifecycle",

@@ -155,7 +155,42 @@ let test_thread_value_and_detach_cleanup () =
   Funding.check_invariants (Lottery_sched.funding ls);
   checkb "short's currency removed" true
     (Funding.find_currency (Lottery_sched.funding ls) "thread:0:short" = None);
+  (* thread currencies are never indexed by name, so the lookup above holds
+     either way: check the live currency set itself *)
+  checkb "no live currency renders as short's" true
+    (List.for_all
+       (fun c -> Funding.currency_name c <> "thread:0:short")
+       (Funding.currencies (Lottery_sched.funding ls)));
   checki "long got the rest" (Time.seconds 10 - Time.seconds 1) (Kernel.cpu_time long)
+
+(* A user currency may carry the name a thread currency renders as, or
+   the thread's own name: thread currencies are unnamed, so spawning the
+   thread neither collides with the user's currencies nor, when the thread
+   exits and its currency goes, takes their names along. *)
+let test_user_currency_named_like_thread () =
+  let k, ls = lottery_kernel ~seed:14 () in
+  let sys = Lottery_sched.funding ls in
+  let base = Lottery_sched.base_currency ls in
+  let rendered = Lottery_sched.make_currency ls "thread:0:a" in
+  let plain = Lottery_sched.make_currency ls "a" in
+  ignore (Lottery_sched.fund_currency ls ~target:rendered ~amount:100 ~from:base);
+  let a = Kernel.spawn k ~name:"a" (fun () -> Api.compute (Time.ms 500)) in
+  checki "the thread is thread 0" 0 a.Types.id;
+  ignore (Lottery_sched.fund_thread ls a ~amount:100 ~from:base);
+  check Alcotest.string "thread currency renders its name" "thread:0:a"
+    (Funding.currency_name (Lottery_sched.thread_currency ls a));
+  ignore (Kernel.run k ~until:(Time.seconds 1));
+  checki "the thread is scheduled to completion" (Time.ms 500)
+    (Kernel.cpu_time a);
+  checkb "the thread exited" true (Kernel.thread_state a = Types.Zombie);
+  let finds name c =
+    match Funding.find_currency sys name with Some c' -> c' == c | None -> false
+  in
+  checkb "the rendered name still finds the user's currency" true
+    (finds "thread:0:a" rendered);
+  checkb "the thread's name still finds the user's currency" true
+    (finds "a" plain);
+  Funding.check_invariants sys
 
 (* --- lottery: transfers ------------------------------------------------------ *)
 
@@ -740,6 +775,8 @@ let () =
           Alcotest.test_case "currencies isolate users" `Quick test_currency_isolation;
           Alcotest.test_case "thread value & detach cleanup" `Quick
             test_thread_value_and_detach_cleanup;
+          Alcotest.test_case "user currency named like a thread's" `Quick
+            test_user_currency_named_like_thread;
         ] );
       ( "lottery-transfers",
         [

@@ -833,6 +833,83 @@ let test_find_thread_duplicate_names () =
     | Some th -> th == first && th != second
     | None -> false)
 
+(* [find_thread] keeps first-created-wins across deaths: spawn indexes
+   nothing, exits are recorded, and live threads are scanned in creation
+   order. *)
+let dead th = Kernel.thread_state th = Types.Zombie
+
+let found k name expected =
+  match Kernel.find_thread k name with Some th -> th == expected | None -> false
+
+let test_find_thread_first_twin_dies_first () =
+  let k = rr_kernel () in
+  let first = Kernel.spawn k ~name:"twin" (fun () -> ()) in
+  let second =
+    Kernel.spawn k ~name:"twin" (fun () -> Api.compute (Time.ms 500))
+  in
+  ignore (Kernel.run k ~until:(Time.ms 100));
+  checkb "first exited" true (dead first);
+  checkb "second still live" true (not (dead second));
+  checkb "dead first twin wins over the live one" true (found k "twin" first);
+  ignore (Kernel.run k ~until:(Time.seconds 1));
+  checkb "second exited" true (dead second);
+  checkb "first still wins once both are dead" true (found k "twin" first)
+
+let test_find_thread_second_twin_dies_first () =
+  let k = rr_kernel () in
+  let first =
+    Kernel.spawn k ~name:"twin" (fun () -> Api.compute (Time.ms 500))
+  in
+  let second = Kernel.spawn k ~name:"twin" (fun () -> ()) in
+  ignore (Kernel.run k ~until:(Time.ms 150));
+  checkb "second exited first" true
+    (dead second && not (dead first));
+  checkb "live first twin wins over the dead one" true (found k "twin" first);
+  ignore (Kernel.run k ~until:(Time.seconds 1));
+  checkb "first still wins once both are dead" true (found k "twin" first)
+
+let test_find_thread_only_namesake_dead () =
+  let k = rr_kernel () in
+  let solo = Kernel.spawn k ~name:"solo" (fun () -> ()) in
+  ignore (Kernel.spawn k ~name:"other" (fun () -> Api.compute (Time.ms 500)));
+  ignore (Kernel.run k ~until:(Time.ms 100));
+  checkb "solo exited" true (dead solo);
+  checkb "dead solo found" true (found k "solo" solo);
+  checkb "still missing" true (Kernel.find_thread k "nobody" = None)
+
+let test_find_thread_name_reused_after_death () =
+  let k = rr_kernel () in
+  let old = Kernel.spawn k ~name:"reused" (fun () -> ()) in
+  ignore (Kernel.run k ~until:(Time.ms 100));
+  checkb "old exited" true (dead old);
+  let fresh =
+    Kernel.spawn k ~name:"reused" (fun () -> Api.compute (Time.ms 500))
+  in
+  checkb "dead original wins over its live successor" true (found k "reused" old);
+  ignore (Kernel.run k ~until:(Time.seconds 1));
+  checkb "successor exited" true (dead fresh);
+  checkb "original still wins" true (found k "reused" old)
+
+let test_find_thread_after_slot_recycling () =
+  let k = rr_kernel () in
+  let idle () = Api.compute (Time.seconds 1) in
+  let a = Kernel.spawn k ~name:"a" idle in
+  let b = Kernel.spawn k ~name:"b" idle in
+  let c = Kernel.spawn k ~name:"c" idle in
+  let a_slot = Kernel.thread_slot a in
+  Kernel.kill k a;
+  (* the respawn lands in a's recycled slot, ahead of b's in slot order
+     but after b in creation order *)
+  let b2 = Kernel.spawn k ~name:"b" idle in
+  checki "respawn reuses the killed thread's slot" a_slot (Kernel.thread_slot b2);
+  checkb "earlier-created b wins over the lower slot" true (found k "b" b);
+  let a2 = Kernel.spawn k ~name:"a" idle in
+  checkb "killed a wins over its respawn" true (found k "a" a);
+  Kernel.kill k b;
+  checkb "killed b still wins" true (found k "b" b);
+  checkb "c unaffected" true (found k "c" c);
+  ignore a2
+
 (* --- kill/reply lifecycle --------------------------------------------------- *)
 
 (* count Rpc_reply_dropped events published on the kernel's bus *)
@@ -1129,6 +1206,16 @@ let () =
         [
           Alcotest.test_case "duplicate names: first-created wins" `Quick
             test_find_thread_duplicate_names;
+          Alcotest.test_case "find_thread: first twin dies first" `Quick
+            test_find_thread_first_twin_dies_first;
+          Alcotest.test_case "find_thread: second twin dies first" `Quick
+            test_find_thread_second_twin_dies_first;
+          Alcotest.test_case "find_thread: only namesake is dead" `Quick
+            test_find_thread_only_namesake_dead;
+          Alcotest.test_case "find_thread: name reused after death" `Quick
+            test_find_thread_name_reused_after_death;
+          Alcotest.test_case "find_thread: kill/respawn recycles slots" `Quick
+            test_find_thread_after_slot_recycling;
           Alcotest.test_case "reply after kill is a traced no-op" `Quick
             test_reply_after_kill_is_traced_noop;
           Alcotest.test_case "scatter reply after kill" `Quick
