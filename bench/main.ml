@@ -673,9 +673,44 @@ let funding_notify_test () =
          ignore (Core.Funded.Tracker.drain tr revalue : [> `All | `Dirtied | `None ]);
          ignore (Sys.opaque_identity (F.currency_value sys cur))))
 
+(* Block + wake of one thread whose funding currency also funds n blocked
+   siblings, then the lottery that revalues it. The block flips the group
+   currency, and invalidation walks the group's dependents — the tickets
+   backing still-valid caches. The blocked siblings' currencies went stale
+   once and are never read again while they sleep, so they drop out of
+   that list and the op costs the same at n = 10 and n = 10^4 (the derived
+   -1e4-over-1e1 row); walking every ticket the group issued made it O(n). *)
+let stale_siblings_test n =
+  let ls = Core.Lottery_sched.create ~rng:(Core.Rng.create ~seed:3 ()) () in
+  let s = Core.Lottery_sched.sched ls in
+  let group = Core.Lottery_sched.make_currency ls "group" in
+  ignore
+    (Core.Lottery_sched.fund_currency ls ~target:group ~amount:1000
+       ~from:(Core.Lottery_sched.base_currency ls));
+  let threads = Array.init (n + 1) bench_thread in
+  Array.iter
+    (fun th ->
+      s.Core.Types.attach th;
+      ignore (Core.Lottery_sched.fund_thread ls th ~amount:100 ~from:group))
+    threads;
+  ignore (s.Core.Types.select ~cpu:0);
+  for i = 1 to n do
+    s.Core.Types.unready threads.(i)
+  done;
+  ignore (s.Core.Types.select ~cpu:0);
+  let th = threads.(0) in
+  Test.make
+    ~name:(Printf.sprintf "stale-siblings/%05d" n)
+    (Staged.stage (fun () ->
+         s.Core.Types.unready th;
+         s.Core.Types.ready th;
+         ignore (s.Core.Types.select ~cpu:0)))
+
 let hotpath_tests () =
   Test.make_grouped ~name:"hotpath"
     [
+      stale_siblings_test 10;
+      stale_siblings_test 10_000;
       decision_mode_test Core.Lottery_sched.List_mode "list";
       decision_mode_test Core.Lottery_sched.Tree_mode "tree";
       decision_mode_test Core.Lottery_sched.Cumul_mode "cumul";
@@ -1243,6 +1278,8 @@ let hotpath_rows () =
   in
   let dtime = result_rows (run_family ~alloc:false (disk_batch_tests ())) in
   htime @ hwords @ btime @ qtime @ dtime
+  @ ratio htime "hotpath/stale-siblings/10000" "hotpath/stale-siblings/00010"
+      "hotpath/stale-siblings-1e4-over-1e1"
   @ ratio btime
       (Printf.sprintf "batch-draw/draw_k-%d" batch_k)
       (Printf.sprintf "batch-draw/singles-%d" batch_k)

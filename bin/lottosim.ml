@@ -28,6 +28,10 @@
 
 open Cmdliner
 
+(* clock_gettime(CLOCK_MONOTONIC) in ns: the profiled phases are far below
+   the microsecond resolution of a wall clock *)
+external monotonic_ns : unit -> int = "lotto_monotonic_ns" [@@noalloc]
+
 let write_file path contents =
   let oc = open_out_bin path in
   output_string oc contents;
@@ -42,11 +46,7 @@ let run path cpus trace_out csv_out stats spans_out prom_out profile =
   | Ok scenario -> (
       try
       let want_trace = trace_out <> None || csv_out <> None in
-      let profile_clock =
-        if profile then
-          Some (fun () -> int_of_float (Unix.gettimeofday () *. 1e9))
-        else None
-      in
+      let profile_clock = if profile then Some monotonic_ns else None in
       let report =
         Lotto_ctl.Scenario.run ~cpus ~trace:want_trace ~stats
           ~spans:(spans_out <> None) ~prom:(prom_out <> None) ?profile_clock

@@ -40,7 +40,7 @@ let summary t =
       let pcts =
         if n = 0 then "-"
         else
-          Printf.sprintf "%.1f/%.1f/%.1f"
+          Printf.sprintf "%.2f/%.2f/%.2f"
             (Hdr.percentile h 50. /. 1000.)
             (Hdr.percentile h 90. /. 1000.)
             (Hdr.percentile h 99. /. 1000.)

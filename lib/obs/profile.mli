@@ -9,7 +9,8 @@
     see past that call).
 
     The clock is injected so [lib/obs] needs no [unix] dependency: pass any
-    monotonic nanosecond counter ([lottosim] wraps [Unix.gettimeofday]).
+    monotonic nanosecond counter ([lottosim] passes a noalloc
+    [clock_gettime(CLOCK_MONOTONIC)] stub).
     The instrumented path is two clock reads and one {!Hdr.record} per
     phase occurrence — zero allocation, and entirely skipped when no
     profiler is installed. *)
@@ -35,4 +36,5 @@ val phase_name : phase -> string
 (** ["valuation"] / ["draw"] / ["dispatch"] / ["publish"]. *)
 
 val summary : t -> string
-(** Text table: per-phase count, total ms, and p50/p90/p99 µs. *)
+(** Text table: per-phase count, total ms, and p50/p90/p99 µs to two
+    decimals (10 ns). *)

@@ -1,5 +1,9 @@
 (** Array-based binary min-heap keyed by integer priority, stable for equal
-    keys (insertion order wins). Used as the kernel's timer queue. *)
+    keys (insertion order wins). Used as the kernel's timer queue.
+
+    Entries are stored flat in parallel key, sequence and value arrays:
+    once the arrays have grown, {!push}, {!drop_min}, {!min_key} and
+    {!min_elt} allocate nothing. *)
 
 type 'a t
 

@@ -44,9 +44,10 @@ and currency = {
   (* Incremental valuation cache. [cache_ok] means [val_cache] holds the
      currency's value (sum of its active backing tickets in base units; for
      base, the active amount) and [unit_cache] the base units per unit of
-     this currency. Invalidation propagates along backing edges to dependent
-     currencies, so a lottery after k mutations revalues O(affected)
-     currencies rather than the whole system. *)
+     this currency. Invalidation propagates along the currency's dependents
+     list (see [invalidate]) to the currencies whose valid caches it backs,
+     so a lottery after k mutations revalues O(affected) currencies rather
+     than the whole system. *)
   mutable val_cache : float;
   mutable unit_cache : float;
   mutable cache_ok : bool;
@@ -71,6 +72,18 @@ type system = {
   mutable i_next : int array;
   mutable b_prev : int array;
   mutable b_next : int array;
+  (* Dependents lists (see [invalidate]): per non-base currency, the
+     tickets it issued whose funded currency held a valid cache when they
+     were linked, in decreasing tid. [deps] holds three ints per ticket
+     slot — prev, next, and the linked ticket's tid, so a link touches one
+     cache line — with prev = [unlinked] meaning "in no list"; [dep_ends]
+     three per currency slot: head, tail, and the finger (the last entry
+     linked, where an out-of-order link starts its search). Both start
+     empty and grow on the first link past their length, never in
+     [issue], so a system whose tickets are all base-denominated (the
+     common per-thread funding) carries neither. *)
+  mutable deps : int array;
+  mutable dep_ends : int array;
   (* Change subscribers with their subscription ids, in subscription
      order; rebuilt on (rare) subscribe/unsubscribe so [notify] is a plain
      loop. *)
@@ -125,6 +138,8 @@ let create_system () =
     i_next = [||];
     b_prev = [||];
     b_next = [||];
+    deps = [||];
+    dep_ends = [||];
     watchers = [||];
     dirty = Array.make 16 0;
     dirty_n = 0;
@@ -139,7 +154,8 @@ let base sys = sys.base_currency
    matching the historical [t :: list] prepend, so every traversal below
    visits tickets in the same most-recent-first order as the list
    representation did — load-bearing for the float fold in [ensure] and for
-   the order in which cascades and invalidation visit edges. *)
+   the order in which activation cascades visit edges. (Invalidation keeps
+   the issued-list order through the dependents lists below.) *)
 
 let link_issued sys c s =
   sys.i_prev.(s) <- -1;
@@ -247,17 +263,148 @@ let notify sys =
     sys.dirty_n <- 0
   end
 
+(* --- dependents lists -----------------------------------------------------
+
+   A ticket [t] in non-base currency [d] that backs [c] makes [c]'s cached
+   value depend on [d]'s unit value, so a flip of [d] must flip [c]. Rather
+   than walking every ticket [d] ever issued to find the few that back a
+   still-valid cache, [d] keeps the {e dependents list} of those tickets:
+
+   - [ensure] links each backing ticket of the currency it validates into
+     its denomination's list (active or not: an inactive backing ticket
+     still carries the flip, as the issued-list walk it replaces did);
+   - [invalidate] walks and empties the list;
+   - [unfund] unlinks the ticket.
+
+   So every [Backs] ticket whose target is valid is linked. An entry whose
+   target went stale by another path stays until the next walk, which
+   skips it. The list is kept in decreasing tid — issued-list order — so a
+   walk visits the valid targets in exactly the order the issued walk did
+   and the flips, hence every change batch and schedule, are unchanged.
+   Base keeps no list (base opacity, below). *)
+
+let unlinked = -2
+
+(* Offsets into [deps] for ticket slot [s], and into [dep_ends] for
+   currency slot [c]. *)
+let[@inline] prev_of s = 3 * s
+let[@inline] next_of s = (3 * s) + 1
+let[@inline] tid_of s = (3 * s) + 2
+let[@inline] head_of c = 3 * c
+let[@inline] tail_of c = (3 * c) + 1
+let[@inline] finger_of c = (3 * c) + 2
+
+let grow_strided a ~stride ~cap ~fill =
+  let b = Array.make (stride * cap) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Grow only when too short: assigning the fields on every link would pay
+   a [caml_modify] per array per link. *)
+let reserve_dep sys s cs =
+  if tid_of s >= Array.length sys.deps then
+    sys.deps <-
+      grow_strided sys.deps ~stride:3 ~cap:(Slots.capacity sys.tk_slots) ~fill:unlinked;
+  if finger_of cs >= Array.length sys.dep_ends then
+    sys.dep_ends <-
+      grow_strided sys.dep_ends ~stride:3 ~cap:(Slots.capacity sys.cur_slots) ~fill:(-1)
+
+let dep_linked sys s = tid_of s < Array.length sys.deps && sys.deps.(prev_of s) <> unlinked
+
+(* Link ticket slot [s] (tid [tid]) into [d]'s list unless already there.
+   Consumers revalue a batch most recent flip first — ascending tid — so
+   relinks after a flip are mostly head inserts, and a consumer that drains
+   the other way hits the tail. Runs that straddle entries which stayed
+   linked land strictly inside the list; searching from the finger (the
+   previous insert) keeps such a run O(1) per link, where a search from a
+   fixed end would make it O(k²). *)
+let link_dep sys d s tid =
+  reserve_dep sys s d.cslot;
+  let l = sys.deps and e = sys.dep_ends in
+  if l.(prev_of s) = unlinked then begin
+    let cs = d.cslot in
+    l.(tid_of s) <- tid;
+    let h = e.(head_of cs) in
+    if h < 0 then begin
+      l.(prev_of s) <- -1;
+      l.(next_of s) <- -1;
+      e.(head_of cs) <- s;
+      e.(tail_of cs) <- s
+    end
+    else if tid > l.(tid_of h) then begin
+      l.(prev_of s) <- -1;
+      l.(next_of s) <- h;
+      l.(prev_of h) <- s;
+      e.(head_of cs) <- s
+    end
+    else begin
+      let tl = e.(tail_of cs) in
+      if tid < l.(tid_of tl) then begin
+        l.(prev_of s) <- tl;
+        l.(next_of s) <- -1;
+        l.(next_of tl) <- s;
+        e.(tail_of cs) <- s
+      end
+      else begin
+        (* strictly between head and tail: find the neighbour [p] with the
+           next larger tid, walking down from the nearest known entry above
+           [tid] or up from the nearest below — head, tail or finger, with
+           tid distance standing in for list distance *)
+        let f = e.(finger_of cs) in
+        let above = if l.(tid_of f) > tid then f else h
+        and below = if l.(tid_of f) < tid then f else tl in
+        let p =
+          if l.(tid_of above) - tid <= tid - l.(tid_of below) then begin
+            let p = ref above in
+            while l.(tid_of l.(next_of !p)) > tid do
+              p := l.(next_of !p)
+            done;
+            !p
+          end
+          else begin
+            let p = ref l.(prev_of below) in
+            while l.(tid_of !p) < tid do
+              p := l.(prev_of !p)
+            done;
+            !p
+          end
+        in
+        let n = l.(next_of p) in
+        l.(prev_of s) <- p;
+        l.(next_of s) <- n;
+        l.(next_of p) <- s;
+        l.(prev_of n) <- s
+      end
+    end;
+    e.(finger_of cs) <- s
+  end
+
+let unlink_dep sys d s =
+  if dep_linked sys s then begin
+    let l = sys.deps and e = sys.dep_ends and cs = d.cslot in
+    let p = l.(prev_of s) and n = l.(next_of s) in
+    if p >= 0 then l.(next_of p) <- n else e.(head_of cs) <- n;
+    if n >= 0 then l.(prev_of n) <- p else e.(tail_of cs) <- p;
+    if e.(finger_of cs) = s then e.(finger_of cs) <- (if p >= 0 then p else n);
+    l.(prev_of s) <- unlinked;
+    l.(next_of s) <- unlinked
+  end
+
 (* --- invalidation -------------------------------------------------------
 
    A currency's value depends on its backing tickets' denominations, so a
    mutation at [c] can move the value of any currency reachable from [c]
    through issued tickets that back other currencies ("upward", toward the
-   thread/client leaves in the paper's Figure 3). Two properties keep this
-   cheap and sound:
+   thread/client leaves in the paper's Figure 3). Three properties keep
+   this cheap and sound:
 
-   - stop-early: if [c] is already stale, every dependent was staled when
-     [c] was (reads revalidate a currency only after revalidating everything
-     it depends on), so the walk can stop;
+   - stop-early: if [c] is already stale, every currency whose valid cache
+     depends on [c] through an active ticket was staled when [c] was
+     (reads revalidate a currency only after revalidating the
+     denominations of its active backing tickets), so the walk can stop;
+   - dependents only: [c]'s walk visits its dependents list, not its issued
+     list — O(valid dependents), not O(tickets ever issued). The flips and
+     their order are those of the issued walk (see the lists above);
    - base opacity: the base currency's unit value is the constant 1, so its
      active-amount changes never move a dependent's value — invalidation of
      base records base itself and propagates no further. This is what makes
@@ -273,15 +420,27 @@ let rec invalidate sys c =
     end;
     sys.dirty.(sys.dirty_n) <- c.cslot;
     sys.dirty_n <- sys.dirty_n + 1;
-    if not c.base_p then begin
-      (* [iter_issued] spelled out: a closure over [sys] here would be
-         allocated on every flip *)
-      let s = ref c.issued_head in
+    let cs = c.cslot in
+    if (not c.base_p) && finger_of cs < Array.length sys.dep_ends
+       && sys.dep_ends.(head_of cs) >= 0
+    then begin
+      (* Detach the whole list first: every target is stale once the walk
+         is done. Nothing in the recursion links, unlinks or reallocates
+         an entry of [c]'s list ([c] is stale, so it is not walked
+         again). *)
+      let l = sys.deps in
+      let s = ref sys.dep_ends.(head_of cs) in
+      sys.dep_ends.(head_of cs) <- -1;
+      sys.dep_ends.(tail_of cs) <- -1;
+      sys.dep_ends.(finger_of cs) <- -1;
       while !s >= 0 do
+        let n = l.(next_of !s) in
+        l.(prev_of !s) <- unlinked;
+        l.(next_of !s) <- unlinked;
         (match sys.tk_tab.(!s).attach with
         | Backs c' -> invalidate sys c'
         | Unattached | Held -> ());
-        s := sys.i_next.(!s)
+        s := n
       done
     end
   end
@@ -513,6 +672,9 @@ let unfund sys t =
   match t.attach with
   | Backs c ->
       deactivate_ticket sys t;
+      (* after the deactivation, whose flips may still reach [c] through
+         the link *)
+      unlink_dep sys t.denom t.tkslot;
       unlink_backing sys c t.tkslot;
       t.attach <- Unattached;
       invalidate sys c;
@@ -580,21 +742,25 @@ let rec ensure sys c =
     (* Marked valid before the walk, so a (dynamically created, normally
        impossible) cycle terminates instead of looping. *)
     c.cache_ok <- true;
+    (* Left fold, head (most recent edge) first: the same float
+       accumulation order as the historical list fold. Every backing
+       ticket, active or not, joins its denomination's dependents list —
+       base's too: its value ignores them, but their flips reach it. *)
+    let v = ref 0. in
+    let s = ref c.backing_head in
+    while !s >= 0 do
+      let t = sys.tk_tab.(!s) in
+      let d = t.denom in
+      if not d.base_p then link_dep sys d !s t.tid;
+      if t.active && not c.base_p then
+        v := !v +. (float_of_int t.amount *. unit_val sys d);
+      s := sys.b_next.(!s)
+    done;
     if c.base_p then begin
       let v = float_of_int c.active_amount in
       if v <> c.val_cache then c.val_cache <- v
     end
     else begin
-      (* Left fold, head (most recent edge) first: the same float
-         accumulation order as the historical list fold. *)
-      let v = ref 0. in
-      let s = ref c.backing_head in
-      while !s >= 0 do
-        let t = sys.tk_tab.(!s) in
-        if t.active then
-          v := !v +. (float_of_int t.amount *. unit_val sys t.denom);
-        s := sys.b_next.(!s)
-      done;
       let v = !v in
       let u = if c.active_amount = 0 then 0. else v /. float_of_int c.active_amount in
       if v <> c.val_cache then c.val_cache <- v;
@@ -715,6 +881,53 @@ let check_invariants sys =
               if not (exists_backing sys c' (fun b -> b.tid = t.tid)) then
                 fail "ticket %d claims to back %s but is not listed" t.tid
                   (currency_name c'));
+      (* Dependents list: strictly decreasing tids over live [Backs]
+         tickets issued here, coherent links, and complete — every backing
+         ticket with a valid target is in it. Base keeps none. *)
+      let listed = Hashtbl.create 16 in
+      if finger_of slot < Array.length sys.dep_ends then begin
+        let l = sys.deps in
+        let last = ref (-1) and s = ref sys.dep_ends.(head_of slot) in
+        while !s >= 0 do
+          if Hashtbl.mem listed !s then fail "currency %s: dependents list loops" (currency_name c);
+          Hashtbl.replace listed !s ();
+          let t = sys.tk_tab.(!s) in
+          if c.base_p then fail "base currency has a dependents list";
+          if t.destroyed || t.tkslot <> !s || t.denom != c then
+            fail "currency %s: dependents slot %d is not a live ticket issued here"
+              (currency_name c) !s;
+          (match t.attach with
+          | Backs _ -> ()
+          | Unattached | Held ->
+              fail "currency %s: dependent ticket %d is not backing" (currency_name c)
+                t.tid);
+          if l.(tid_of !s) <> t.tid then
+            fail "currency %s: dependents slot %d records tid %d, holds %d"
+              (currency_name c) !s l.(tid_of !s) t.tid;
+          if l.(prev_of !s) <> !last then
+            fail "currency %s: dependents back link broken at ticket %d"
+              (currency_name c) t.tid;
+          if !last >= 0 && l.(tid_of !last) <= t.tid then
+            fail "currency %s: dependents not in decreasing tid at ticket %d"
+              (currency_name c) t.tid;
+          last := !s;
+          s := l.(next_of !s)
+        done;
+        if sys.dep_ends.(tail_of slot) <> !last then
+          fail "currency %s: dependents tail is not the last entry" (currency_name c);
+        let f = sys.dep_ends.(finger_of slot) in
+        if (f >= 0 || !last >= 0) && not (Hashtbl.mem listed f) then
+          fail "currency %s: dependents finger %d is not an entry" (currency_name c) f
+      end;
+      iter_issued sys c (fun t ->
+          let linked = dep_linked sys t.tkslot in
+          if linked && not (Hashtbl.mem listed t.tkslot) then
+            fail "ticket %d: linked, but not in %s's dependents" t.tid (currency_name c);
+          match t.attach with
+          | Backs c' when c'.cache_ok && (not c.base_p) && not linked ->
+              fail "ticket %d backs valid %s but is not in %s's dependents" t.tid
+                (currency_name c') (currency_name c)
+          | _ -> ());
       (* Acyclicity: depth-first walk with a white/grey/black marking, so
          shared sub-graphs are visited once instead of once per path. *)
       let color = Hashtbl.create 16 in

@@ -196,7 +196,15 @@ val is_held : ticket -> bool
     along backing edges toward the funded leaves), and reads lazily
     revalidate just the stale region. A quiescent graph is valued once;
     steady-state reads are O(1). Cached results are bit-for-bit identical
-    to a from-scratch walk. *)
+    to a from-scratch walk.
+
+    Propagation from a currency visits only its {e dependents}: the
+    tickets it issued whose funded currency holds a valid cache, linked
+    when that currency is revalued and unlinked by {!unfund}. A flip costs
+    O(valid dependents), however many tickets the currency issued to
+    currencies that are stale (e.g. blocked threads never revalued), and
+    the currencies it flips, and their order in {!iter_changed}, are those
+    of a walk over every issued ticket in issue order. *)
 
 val ticket_value : system -> ticket -> float
 (** Current value in base units; [0.] for inactive tickets (cached, O(1)
@@ -218,9 +226,11 @@ val uncached_currency_value : system -> currency -> float
 
 val check_invariants : system -> unit
 (** Validates internal consistency (active sums, attachment symmetry,
-    activation propagation, acyclicity, and agreement of the incremental
-    valuation caches with a from-scratch valuation); raises [Failure] with
-    a description on violation. Used by tests and enabled in debug
+    activation propagation, acyclicity, agreement of the incremental
+    valuation caches with a from-scratch valuation, and the dependents
+    lists: complete for valid targets, strictly decreasing in ticket id,
+    holding only live backing tickets of the currency); raises [Failure]
+    with a description on violation. Used by tests and enabled in debug
     builds. *)
 
 val pp_currency : system -> Format.formatter -> currency -> unit

@@ -664,6 +664,59 @@ let qcheck_incremental_valuation_exact =
       F.unsubscribe sys sub_dirt;
       !ok)
 
+(* Invalidation walks a currency's dependents — the tickets it issued whose
+   funded currency holds a valid cache — not every ticket it issued. The
+   flips must still come out in the order of the full issued walk
+   (decreasing ticket id), and events list them most recent first. One
+   group currency funds seven siblings: read in an order that exercises
+   every insert position, one never read, one read and then staled by its
+   own mutation (a stale entry the walk skips), one valid through an
+   inactive backing ticket (which must still be flipped). *)
+let test_dependents_flip_order () =
+  let sys = F.create_system () in
+  let g = F.make_currency sys ~name:"group" in
+  F.fund sys ~ticket:(F.issue sys ~currency:(F.base sys) ~amount:1000) ~currency:g;
+  let g_held = F.issue sys ~currency:g ~amount:50 in
+  F.hold sys g_held;
+  let sibling i ~active =
+    let c = F.make_currency sys ~name:(Printf.sprintf "s%d" i) in
+    let t = F.issue sys ~currency:g ~amount:(10 * i) in
+    F.fund sys ~ticket:t ~currency:c;
+    let h = F.issue sys ~currency:c ~amount:100 in
+    if active then F.hold sys h;
+    (c, t, h)
+  in
+  let s = Array.init 8 (fun i -> sibling i ~active:(i <> 7)) in
+  let cur i = let c, _, _ = s.(i) in c in
+  let read i = ignore (F.currency_value sys (cur i)) in
+  (* single, head, tail, middle, middle, head *)
+  List.iter read [ 4; 6; 1; 3; 2; 7 ];
+  (* s2 goes stale through its own ticket, leaving a stale entry *)
+  let _, _, h2 = s.(2) in
+  F.set_amount sys h2 120;
+  F.check_invariants sys;
+  let order = ref [] in
+  let sub =
+    F.on_change sys (fun ch -> F.iter_changed ch (fun c -> order := F.currency_name c :: !order))
+  in
+  F.set_amount sys g_held 60;
+  F.unsubscribe sys sub;
+  check
+    Alcotest.(list string)
+    "flips: group, then valid siblings by decreasing ticket id; reported most recent first"
+    [ "s1"; "s3"; "s4"; "s6"; "s7"; "group" ]
+    (List.rev !order);
+  F.check_invariants sys;
+  (* the inactive backing ticket of s7 is linked again once s7 is read;
+     unfunding it must unlink it, or the list keeps a detached ticket *)
+  read 7;
+  let _, t7, _ = s.(7) in
+  F.unfund sys t7;
+  F.check_invariants sys;
+  F.destroy_ticket sys t7;
+  ignore (sibling 8 ~active:true);
+  F.check_invariants sys
+
 let test_pp_smoke () =
   let sys, _, alice, _, _, _, _, _, t2, _, _ = figure3 () in
   let s = Format.asprintf "%a" F.pp_system sys in
@@ -706,6 +759,8 @@ let () =
           Alcotest.test_case "figure 3 with task1 active" `Quick test_figure3_task1_wakes;
           Alcotest.test_case "base tickets are face value" `Quick test_base_valuation;
           Alcotest.test_case "sibling share shift" `Quick test_sibling_share_shift;
+          Alcotest.test_case "dependents flip in issued order" `Quick
+            test_dependents_flip_order;
         ] );
       ( "activation",
         [

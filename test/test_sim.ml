@@ -51,6 +51,67 @@ let test_heap_growth () =
   | None -> Alcotest.fail "empty");
   checki "size unchanged by peek" 1000 (Lotto_sim.Heap.size h)
 
+(* Random interleavings of pushes (keys drawn from a small range, so equal
+   keys are common) and pops against a stable sorted-list reference:
+   entries leave in (key, push order), and [iter] always visits exactly
+   the live entries. *)
+let qcheck_heap_matches_sorted_reference =
+  QCheck.Test.make ~name:"heap pops in (key, push order); iter sees the live set"
+    ~count:1000
+    QCheck.(small_list (pair bool (int_bound 20)))
+    (fun ops ->
+      let h = Lotto_sim.Heap.create () in
+      let model = ref [] (* (key, seq) sorted *) and seq = ref 0 in
+      let insert e l =
+        let rec go = function
+          | [] -> [ e ]
+          | x :: rest when compare x e <= 0 -> x :: go rest
+          | l -> e :: l
+        in
+        go l
+      in
+      let ok = ref true in
+      List.iter
+        (fun (pop, key) ->
+          if pop && !model <> [] then begin
+            let expected = List.hd !model in
+            model := List.tl !model;
+            match Lotto_sim.Heap.pop_min h with
+            | Some got -> if got <> (fst expected, expected) then ok := false
+            | None -> ok := false
+          end
+          else begin
+            Lotto_sim.Heap.push h ~key (key, !seq);
+            model := insert (key, !seq) !model;
+            incr seq
+          end;
+          let seen = ref [] in
+          Lotto_sim.Heap.iter h (fun ~key v -> seen := (key, v) :: !seen);
+          if List.sort compare (List.map snd !seen) <> !model
+             || List.exists (fun (k, (k', _)) -> k <> k') !seen
+             || Lotto_sim.Heap.size h <> List.length !model
+          then ok := false)
+        ops;
+      !ok)
+
+(* Once the arrays have grown, a push and a [drop_min] write array cells
+   only: the timer path behind every sleep allocates nothing. *)
+let test_heap_steady_state_allocation_free () =
+  let h = Lotto_sim.Heap.create () in
+  let v = "timer" in
+  for i = 0 to 999 do
+    Lotto_sim.Heap.push h ~key:(i * 7919 mod 1000) v
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 0 to 99_999 do
+    Lotto_sim.Heap.push h ~key:(i * 7919 mod 1000) v;
+    Lotto_sim.Heap.drop_min h
+  done;
+  let words = Gc.minor_words () -. w0 in
+  checkb (Printf.sprintf "no minor words per push+drop_min (%.0f total)" words) true
+    (words < 64.);
+  checki "size" 1000 (Lotto_sim.Heap.size h)
+
 (* --- time ------------------------------------------------------------------- *)
 
 let test_time_units () =
@@ -1121,6 +1182,9 @@ let () =
           Alcotest.test_case "min ordering" `Quick test_heap_ordering;
           Alcotest.test_case "fifo on equal keys" `Quick test_heap_fifo_on_ties;
           Alcotest.test_case "growth and peek" `Quick test_heap_growth;
+          Alcotest.test_case "steady state allocates nothing" `Quick
+            test_heap_steady_state_allocation_free;
+          QCheck_alcotest.to_alcotest qcheck_heap_matches_sorted_reference;
         ] );
       ("time", [ Alcotest.test_case "unit conversions" `Quick test_time_units ]);
       ( "execution",
