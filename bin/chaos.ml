@@ -104,10 +104,10 @@ let cpus_arg =
   Arg.(
     value & opt int 1
     & info [ "cpus" ] ~docv:"N"
-        ~doc:"Virtual CPUs per run (default 1). With $(docv) > 1 each run \
-              uses a sharded lottery (one shard per CPU) so fault \
-              injection also exercises placement, rebalancing, stealing \
-              and the sharding audit; repro pairs are per CPU count.")
+        ~doc:"Virtual CPUs per run (default 1). Each run's lottery has \
+              one shard per CPU; with $(docv) > 1 fault injection also \
+              exercises placement, rebalancing and stealing. Repro pairs \
+              are per CPU count.")
 
 let prob name default doc =
   Arg.(value & opt float default & info [ name ] ~docv:"P" ~doc)

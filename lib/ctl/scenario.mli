@@ -69,11 +69,11 @@ val run :
   t ->
   report
 (** Execute the scenario. [cpus] (default 1) is the number of virtual
-    CPUs: [1] runs the historical single-CPU kernel with an unsharded
-    lottery (outputs are byte-identical to older releases), while [n > 1]
-    shards the lottery one shard per CPU — ticket-weighted placement,
-    hysteresis rebalancing and work stealing included — and drives the
-    kernel's multi-CPU round loop. [trace] (default false) records the typed event
+    CPUs, with one lottery shard per CPU: [1] runs the historical
+    single-CPU kernel over one global lottery (outputs are byte-identical
+    to older releases), while [n > 1] adds ticket-weighted placement,
+    hysteresis rebalancing and work stealing and drives the kernel's
+    multi-CPU round loop. [trace] (default false) records the typed event
     stream into a ring buffer of [trace_capacity] events (default 2^20);
     [stats] (default false) accumulates the metrics registry and renders
     its summary against each thread's final ticket entitlement; [spans]

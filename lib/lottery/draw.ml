@@ -22,7 +22,7 @@ module type S = sig
   val iter : 'a t -> ('a handle -> unit) -> unit
 end
 
-type mode = List | Tree | Distributed of int | Cumul | Alias
+type mode = List | Tree | Cumul | Alias
 
 module List_backend = struct
   include List_lottery
@@ -53,26 +53,18 @@ let backend : mode -> (module S) = function
   | Tree -> (module Tree_backend)
   | Cumul -> (module Cumul_backend)
   | Alias -> (module Alias_backend)
-  | Distributed n ->
-      (module struct
-        include Distributed_lottery
-
-        let create () = Distributed_lottery.create ~nodes:n ()
-      end)
 
 (* --- runtime-dispatched wrapper ---------------------------------------- *)
 
 type 'a t =
   | L of 'a List_lottery.t
   | T of 'a Tree_lottery.t
-  | D of 'a Distributed_lottery.t
   | C of 'a Cumul_lottery.t
   | A of 'a Alias_lottery.t
 
 type 'a handle =
   | Lh of 'a List_lottery.handle
   | Th of 'a Tree_lottery.handle
-  | Dh of 'a Distributed_lottery.handle
   | Ch of 'a Cumul_lottery.handle
   | Ah of 'a Alias_lottery.handle
 
@@ -81,20 +73,17 @@ let foreign () = invalid_arg "Draw: handle from a different backend"
 let of_mode = function
   | List -> L (List_lottery.create ())
   | Tree -> T (Tree_lottery.create ())
-  | Distributed nodes -> D (Distributed_lottery.create ~nodes ())
   | Cumul -> C (Cumul_lottery.create ())
   | Alias -> A (Alias_lottery.create ())
 
 let of_list l = L l
 let of_tree l = T l
-let of_distributed l = D l
 let of_cumul l = C l
 let of_alias l = A l
 
 let mode = function
   | L _ -> List
   | T _ -> Tree
-  | D d -> Distributed (Distributed_lottery.nodes d)
   | C _ -> Cumul
   | A _ -> Alias
 
@@ -102,7 +91,6 @@ let add t ~client ~weight =
   match t with
   | L l -> Lh (List_lottery.add l ~client ~weight)
   | T l -> Th (Tree_lottery.add l ~client ~weight)
-  | D l -> Dh (Distributed_lottery.add l ~client ~weight)
   | C l -> Ch (Cumul_lottery.add l ~client ~weight)
   | A l -> Ah (Alias_lottery.add l ~client ~weight)
 
@@ -110,7 +98,6 @@ let remove t h =
   match (t, h) with
   | L l, Lh h -> List_lottery.remove l h
   | T l, Th h -> Tree_lottery.remove l h
-  | D l, Dh h -> Distributed_lottery.remove l h
   | C l, Ch h -> Cumul_lottery.remove l h
   | A l, Ah h -> Alias_lottery.remove l h
   | _ -> foreign ()
@@ -122,7 +109,6 @@ let readd t h ~weight =
   match (t, h) with
   | L l, Lh h -> List_lottery.readd l h ~weight
   | T l, Th h -> Tree_lottery.readd l h ~weight
-  | D l, Dh h -> Distributed_lottery.readd l h ~weight
   | C l, Ch h -> Cumul_lottery.readd l h ~weight
   | A l, Ah h -> Alias_lottery.readd l h ~weight
   | _ -> foreign ()
@@ -131,7 +117,6 @@ let mem t h =
   match (t, h) with
   | L l, Lh h -> List_lottery.mem l h
   | T l, Th h -> Tree_lottery.mem l h
-  | D l, Dh h -> Distributed_lottery.mem l h
   | C l, Ch h -> Cumul_lottery.mem l h
   | A l, Ah h -> Alias_lottery.mem l h
   | _ -> foreign ()
@@ -139,7 +124,6 @@ let mem t h =
 let clear = function
   | L l -> List_lottery.clear l
   | T l -> Tree_lottery.clear l
-  | D l -> Distributed_lottery.clear l
   | C l -> Cumul_lottery.clear l
   | A l -> Alias_lottery.clear l
 
@@ -147,7 +131,6 @@ let set_weight t h w =
   match (t, h) with
   | L l, Lh h -> List_lottery.set_weight l h w
   | T l, Th h -> Tree_lottery.set_weight l h w
-  | D l, Dh h -> Distributed_lottery.set_weight l h w
   | C l, Ch h -> Cumul_lottery.set_weight l h w
   | A l, Ah h -> Alias_lottery.set_weight l h w
   | _ -> foreign ()
@@ -156,7 +139,6 @@ let weight t h =
   match (t, h) with
   | L l, Lh h -> List_lottery.weight l h
   | T l, Th h -> Tree_lottery.weight l h
-  | D l, Dh h -> Distributed_lottery.weight l h
   | C l, Ch h -> Cumul_lottery.weight l h
   | A l, Ah h -> Alias_lottery.weight l h
   | _ -> foreign ()
@@ -164,21 +146,18 @@ let weight t h =
 let client = function
   | Lh h -> List_lottery.client h
   | Th h -> Tree_lottery.client h
-  | Dh h -> Distributed_lottery.client h
   | Ch h -> Cumul_lottery.client h
   | Ah h -> Alias_lottery.client h
 
 let total = function
   | L l -> List_lottery.total l
   | T l -> Tree_lottery.total l
-  | D l -> Distributed_lottery.total l
   | C l -> Cumul_lottery.total l
   | A l -> Alias_lottery.total l
 
 let size = function
   | L l -> List_lottery.size l
   | T l -> Tree_lottery.size l
-  | D l -> Distributed_lottery.size l
   | C l -> Cumul_lottery.size l
   | A l -> Alias_lottery.size l
 
@@ -186,7 +165,6 @@ let draw t rng =
   match t with
   | L l -> Option.map (fun h -> Lh h) (List_lottery.draw l rng)
   | T l -> Option.map (fun h -> Th h) (Tree_lottery.draw l rng)
-  | D l -> Option.map (fun h -> Dh h) (Distributed_lottery.draw l rng)
   | C l -> Option.map (fun h -> Ch h) (Cumul_lottery.draw l rng)
   | A l -> Option.map (fun h -> Ah h) (Alias_lottery.draw l rng)
 
@@ -197,7 +175,6 @@ let draw_slot t rng =
   match t with
   | L l -> List_lottery.draw_slot l rng
   | T l -> Tree_lottery.draw_slot l rng
-  | D l -> Distributed_lottery.draw_slot l rng
   | C l -> Cumul_lottery.draw_slot l rng
   | A l -> Alias_lottery.draw_slot l rng
 
@@ -205,7 +182,6 @@ let client_at t s =
   match t with
   | L l -> List_lottery.client_at l s
   | T l -> Tree_lottery.client_at l s
-  | D l -> Distributed_lottery.client_at l s
   | C l -> Cumul_lottery.client_at l s
   | A l -> Alias_lottery.client_at l s
 
@@ -213,7 +189,6 @@ let draw_k t rng ~k out =
   match t with
   | L l -> List_lottery.draw_k l rng ~k out
   | T l -> Tree_lottery.draw_k l rng ~k out
-  | D l -> Distributed_lottery.draw_k l rng ~k out
   | C l -> Cumul_lottery.draw_k l rng ~k out
   | A l -> Alias_lottery.draw_k l rng ~k out
 
@@ -221,7 +196,6 @@ let draw_with_value t ~winning =
   match t with
   | L l -> Option.map (fun h -> Lh h) (List_lottery.draw_with_value l ~winning)
   | T l -> Option.map (fun h -> Th h) (Tree_lottery.draw_with_value l ~winning)
-  | D l -> Option.map (fun h -> Dh h) (Distributed_lottery.draw_with_value l ~winning)
   | C l -> Option.map (fun h -> Ch h) (Cumul_lottery.draw_with_value l ~winning)
   | A l -> Option.map (fun h -> Ah h) (Alias_lottery.draw_with_value l ~winning)
 
@@ -229,10 +203,9 @@ let iter t f =
   match t with
   | L l -> List_lottery.iter l (fun h -> f (Lh h))
   | T l -> Tree_lottery.iter l (fun h -> f (Th h))
-  | D l -> Distributed_lottery.iter l (fun h -> f (Dh h))
   | C l -> Cumul_lottery.iter l (fun h -> f (Ch h))
   | A l -> Alias_lottery.iter l (fun h -> f (Ah h))
 
 let comparisons = function
   | L l -> Some (List_lottery.comparisons l)
-  | T _ | D _ | C _ | A _ -> None
+  | T _ | C _ | A _ -> None

@@ -3,10 +3,13 @@
     Every lottery in the system — CPU scheduling, mutex/condition/semaphore
     waiter picks, disk, I/O bandwidth, the packet switch, inverse memory —
     draws through this interface, so the backing structure (the paper's §4.2
-    move-to-front list, the O(log n) partial-sum tree, or the distributed
-    node tree) is a deployment choice rather than a per-subsystem fork.
+    move-to-front list, the O(log n) partial-sum tree, the flat
+    cumulative-sum array or the alias table) is a deployment choice rather
+    than a per-subsystem fork. The §4.2 distributed lottery is one such
+    structure per CPU coordinated by {!Shard_tree} (see
+    [Lotto_sched.Lottery_sched]).
 
-    {!S} is the signature the three structures conform to; {!t} is a
+    {!S} is the signature the four structures conform to; {!t} is a
     dispatching wrapper chosen at runtime with {!of_mode}; {!backend} packs
     a conforming structure as a first-class module for functor-style use. *)
 
@@ -67,8 +70,6 @@ end
 type mode =
   | List  (** move-to-front list, O(n) draw — the paper's prototype *)
   | Tree  (** Fenwick partial-sum tree, O(log n) draw and update *)
-  | Distributed of int
-      (** partial-sum tree spanning [n] nodes, O(log n) messages *)
   | Cumul
       (** flat cumulative-sum array: O(log n) binary-search draw over a
           lazily rebuilt prefix-sum table — allocation-free while weights
@@ -80,8 +81,7 @@ type mode =
           winner-identical to [Tree] for the same stream *)
 
 val backend : mode -> (module S)
-(** The conforming structure for a mode, as a first-class module
-    ([Distributed n] closes over its node count). *)
+(** The conforming structure for a mode, as a first-class module. *)
 
 (** {1 Runtime-dispatched wrapper}
 
@@ -98,7 +98,6 @@ val of_list : 'a List_lottery.t -> 'a t
 (** Wrap an existing structure (e.g. to pick a non-default list order). *)
 
 val of_tree : 'a Tree_lottery.t -> 'a t
-val of_distributed : 'a Distributed_lottery.t -> 'a t
 val of_cumul : 'a Cumul_lottery.t -> 'a t
 val of_alias : 'a Alias_lottery.t -> 'a t
 val mode : 'a t -> mode

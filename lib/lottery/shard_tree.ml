@@ -1,8 +1,7 @@
 (* The inter-shard coordinator of the sharded CPU lottery: a flat 1-based
    partial-sum binary tree whose leaves are per-shard live ticket masses —
-   {!Distributed_lottery}'s inter-node tree (the paper's §4.2 distributed
-   lottery) lifted out so it can coordinate arbitrary [Draw.t] shards
-   instead of its own built-in local lotteries. Every operation is
+   the inter-node tree of the paper's §4.2 distributed lottery, with each
+   node's local lottery an arbitrary [Draw.t] shard. Every operation is
    allocation-free: set bubbles a delta to the root, pick descends from it,
    and both are O(log shards). *)
 
@@ -29,23 +28,39 @@ let get t i =
 
 let total t = Float.max 0. t.sums.(1)
 
-(* absolute write: bubble the delta from the leaf to the root *)
-let set t i v =
-  check t i;
-  if v < 0. then invalid_arg "Shard_tree.set: negative mass";
-  let delta = v -. t.sums.(t.leaves + i) in
+(* add [delta] to the leaf at [leaf] and every ancestor up to the root *)
+let[@inline] bubble t leaf delta =
   if delta <> 0. then begin
-    let j = ref (t.leaves + i) in
+    let j = ref leaf in
     while !j >= 1 do
       t.sums.(!j) <- t.sums.(!j) +. delta;
       j := !j / 2
     done
   end
 
+(* absolute write *)
+let set t i v =
+  check t i;
+  if v < 0. then invalid_arg "Shard_tree.set: negative mass";
+  let leaf = t.leaves + i in
+  bubble t leaf (v -. t.sums.(leaf))
+
+(* Incremental write: add [cell.(0)] to shard [i]'s mass, clamped at zero
+   (float deltas can undershoot), and bubble the clamped difference to the
+   root — the sums {!set} leaves for [get t i +. cell.(0)]. The delta comes
+   in a float cell because a float argument to a call across modules is
+   boxed. *)
+let adjust t i cell =
+  check t i;
+  let leaf = t.leaves + i in
+  let old = t.sums.(leaf) in
+  let v = old +. cell.(0) in
+  bubble t leaf ((if v > 0. then v else 0.) -. old)
+
 (* Ticket-weighted shard pick: descend from the root with a winning value
    in [0, total), preferring the left child unless the value falls past its
-   subtree sum (or the right subtree is the only live one) — exactly
-   {!Distributed_lottery.descend}. [-1] when no shard holds mass. *)
+   subtree sum (or the right subtree is the only live one). [-1] when no
+   shard holds mass. *)
 let pick t ~u =
   let tot = total t in
   if tot <= 0. then -1

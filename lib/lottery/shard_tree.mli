@@ -2,13 +2,13 @@
 
     The paper's §4.2 distributed lottery keeps a binary tree of partial
     ticket sums over the nodes and descends it to pick the node holding
-    the winning ticket; {!Distributed_lottery} implements that with its
-    own per-node local lotteries. This module is the same inter-node tree
-    with the leaves decoupled: each leaf mirrors the live ticket mass of
-    an arbitrary per-shard {!Draw.t}, so a sharded scheduler can pick a
-    steal source ticket-weighted, find the least-loaded shard for
-    placement, and read the global mass — all O(log shards) or O(shards)
-    and allocation-free. *)
+    the winning ticket. This module is that inter-node tree; each leaf
+    mirrors the live ticket mass of one per-CPU {!Draw.t}, the node's
+    local lottery. Together they are the distributed lottery that
+    [Lotto_sched.Lottery_sched] runs (one shard per virtual CPU, tested in
+    [test/test_smp.ml]): the scheduler picks a steal source
+    ticket-weighted, finds the least-loaded shard for placement, and reads
+    the global mass — all O(log shards) or O(shards) and allocation-free. *)
 
 type t
 
@@ -20,6 +20,12 @@ val shards : t -> int
 val set : t -> int -> float -> unit
 (** [set t i mass] writes shard [i]'s absolute mass, bubbling the delta to
     the root; a no-op when the value is unchanged. *)
+
+val adjust : t -> int -> float array -> unit
+(** [adjust t i cell] adds [cell.(0)] to shard [i]'s mass, clamping the
+    result at zero: the sums [set t i (max 0. (get t i +. cell.(0)))]
+    leaves, bit for bit. The delta travels in a float cell so that a hot
+    caller passes it without allocating a boxed float. *)
 
 val get : t -> int -> float
 

@@ -24,14 +24,12 @@ type tstate = {
   competing : F.ticket;
   mutable donations : (int * F.ticket) list; (* dst thread id -> transfer *)
   mutable dh : tstate D.handle option;
-      (* unsharded: present iff runnable. Sharded: allocated at the first
-         enqueue and kept forever (the [Some] box included) — dispatch and
-         migration recycle the same handle through {!D.remove}/{!D.readd},
-         so the steady-state quantum cycle allocates nothing. [in_draw]
-         carries liveness. *)
+      (* allocated at the first enqueue and kept forever (the [Some] box
+         included): block/wake, dispatch and migration recycle the same
+         handle through {!D.remove}/{!D.readd}, so the steady-state
+         quantum cycle allocates nothing. [in_draw] carries liveness. *)
   mutable in_fq : bool; (* queued in a round-robin fallback ring *)
   mutable in_pending : bool; (* queued for a scoped weight refresh *)
-  (* --- sharded-mode state (unused when [shards = 0]) ----------------- *)
   mutable shard : int; (* owning shard; -1 until first placement *)
   mutable in_draw : bool; (* live in its shard's draw structure *)
   mutable counted : bool;
@@ -39,14 +37,11 @@ type tstate = {
          runnable *and* dispatched (on-CPU) threads, false while blocked —
          so a running thread still attracts rebalancing pressure to its
          shard but can never itself be drawn, stolen or migrated *)
-  mutable ring_of : int;
-      (* which shard's fallback ring holds this entry (one-ring invariant:
-         a migrated thread is handed to its new ring lazily, on pop, so
-         migration itself never touches the rings) *)
   mutable wlast : float;
-      (* the last weight written to a shard draw — kept as the record's
-         own box so the dispatch/re-enqueue cycle can pass it to
-         {!D.readd} without allocating a fresh float *)
+      (* the last weight written to a shard draw. A weight change boxes it
+         once, and that box is what every draw call is handed — the write
+         itself, a re-insert, a migration — so re-inserting an unchanged
+         weight allocates nothing *)
 }
 
 (* Per-thread and per-currency state lives in arrays indexed by the dense
@@ -79,14 +74,13 @@ type t = {
          its slot is recycled, and ints keep the buffer allocation- and
          write-barrier-free *)
   mutable pending_n : int; (* pairs in [pending] *)
-  draw : tstate D.t;
   scratch : thread D.t; (* reusable waiter-pick draw, cleared between picks *)
-  fallback_q : tstate Queue.t; (* round-robin ring of runnable threads *)
-  (* --- per-CPU lottery shards (empty when [shards = 0]) -------------- *)
-  shards : int; (* 0 = the single-draw path above *)
+  shards : int; (* >= 1; shard [i] serves virtual CPU [i] *)
   sdraws : tstate D.t array; (* one draw structure per virtual CPU *)
   srings : tstate Queue.t array; (* per-shard fallback rings *)
   stree : Sh.t; (* partial-sum tree over per-shard ticket masses *)
+  dcell : float array;
+      (* one-cell buffer carrying a mass delta into {!Sh.adjust} unboxed *)
   imbalance_band : float; (* rebalance trigger, as a fraction of total/N *)
   mutable migration_enabled : bool;
   mutable placement_hook : (thread -> int) option;
@@ -157,10 +151,11 @@ let record_dirty t c =
   | _ -> ()
 
 let create ?(mode = List_mode) ?(quantum_fallback = true)
-    ?(use_compensation = true) ?(shards = 0) ?(imbalance_band = 0.25) ~rng () =
+    ?(use_compensation = true) ?(shards = 1) ?(imbalance_band = 0.25) ~rng () =
   if shards < 0 then invalid_arg "Lottery_sched.create: shards < 0";
   if imbalance_band <= 0. then
     invalid_arg "Lottery_sched.create: imbalance_band <= 0";
+  let shards = max 1 shards in
   let t =
     {
       mode;
@@ -172,17 +167,16 @@ let create ?(mode = List_mode) ?(quantum_fallback = true)
       ccache = [||];
       pending = Array.make 32 0;
       pending_n = 0;
-      draw = D.of_mode (draw_mode mode);
       scratch = D.of_mode (draw_mode mode);
-      fallback_q = Queue.create ();
       shards;
       sdraws = Array.init shards (fun _ -> D.of_mode (draw_mode mode));
       srings = Array.init shards (fun _ -> Queue.create ());
-      stree = Sh.create ~shards:(max 1 shards);
+      stree = Sh.create ~shards;
+      dcell = [| 0. |];
       imbalance_band;
       migration_enabled = true;
       placement_hook = None;
-      members = Array.make (max 1 shards) 0;
+      members = Array.make shards 0;
       migrations = 0;
       steals = 0;
       quantum_fallback;
@@ -229,7 +223,6 @@ let state t th =
           shard = -1;
           in_draw = false;
           counted = false;
-          ring_of = -1;
           wlast = 0.;
         }
       in
@@ -255,16 +248,6 @@ let[@inline] factor t (s : tstate) =
 let value_of t s = F.currency_value t.system s.cur *. factor t s
 let thread_value t th = value_of t (state t th)
 
-(* The one weight-write of the draw path: records the two inputs of the
-   written weight so [account] can later detect "nothing changed" without
-   recomputing the product. *)
-let write_weight t s h =
-  let cv = F.currency_value t.system s.cur in
-  let f = factor t s in
-  D.set_weight t.draw h (cv *. f);
-  t.wcache.(s.th.tslot) <- cv;
-  t.ccache.(s.th.tslot) <- f
-
 (* --- per-CPU shards: mass accounting, migration, stealing -------------- *)
 
 (* The shard tree tracks the live ticket mass *assigned* to each shard:
@@ -274,70 +257,92 @@ let write_weight t s h =
    occupancy keeps the steady-state quantum cycle (dispatch dequeue +
    account re-enqueue) entirely off the tree: only block/wake, funding
    changes and migrations touch it. *)
-let stree_adjust t i delta =
-  let v = Sh.get t.stree i +. delta in
-  Sh.set t.stree i (if v > 0. then v else 0.)
+let[@inline] adjust_mass t i delta =
+  t.dcell.(0) <- delta;
+  Sh.adjust t.stree i t.dcell
 
-(* Take a drawn thread off its shard's structure for the duration of its
-   slice. Its mass stays counted; the recycled handle makes the later
-   re-enqueue allocation-free. *)
-let[@inline] dispatch_dequeue t s =
+(* Compare the thread's weight inputs against those of its last write.
+   When either changed, recompute the weight into [wlast] (moving the
+   shard mass by the difference if the thread is counted) and return
+   [true]; when nothing changed the weight could not have either, and the
+   quiescent path computes no fresh float at all — each input is compared
+   against an existing box (the funding valuation cache, the thread's
+   compensate field). *)
+let revalue t s =
+  let slot = s.th.tslot in
+  let cv = F.currency_value t.system s.cur in
+  let f = factor t s in
+  if cv <> t.wcache.(slot) || f <> t.ccache.(slot) then begin
+    let nw = cv *. f in
+    t.wcache.(slot) <- cv;
+    t.ccache.(slot) <- f;
+    if s.counted then adjust_mass t s.shard (nw -. s.wlast);
+    s.wlast <- nw;
+    true
+  end
+  else false
+
+(* The weight write of the valuation path: revalue an in-draw thread and
+   hand its weight to the draw. The write happens even when nothing
+   changed — a weight delta of zero leaves every backend bit-identical. *)
+let write_weight t s =
+  match s.dh with
+  | Some h when s.in_draw ->
+      ignore (revalue t s : bool);
+      D.set_weight t.sdraws.(s.shard) h s.wlast
+  | _ -> ()
+
+(* Take a thread off its shard's draw; its mass stays counted. *)
+let dequeue t s =
   (match s.dh with
   | Some h -> D.remove t.sdraws.(s.shard) h
   | None -> ());
   s.in_draw <- false
 
-(* (Re-)insert a thread into its shard's draw. The weight inputs are
-   compared against the cached copies exactly as [account] does on the
-   unsharded path: on a quiescent graph nothing changed and the re-insert
-   reuses the boxed product of the last write ([wlast]), so a
-   compute-bound thread's dispatch/re-enqueue cycle allocates nothing. *)
-let sh_enqueue t s =
+(* A thread leaving the runnable set (block, exit): its mass leaves its
+   shard and, unless it is the one on the CPU, its handle leaves the
+   draw. *)
+let withdraw t s =
+  if s.counted then begin
+    adjust_mass t s.shard (-.s.wlast);
+    s.counted <- false
+  end;
+  if s.in_draw then dequeue t s
+
+(* (Re-)insert a thread into its shard's draw, revaluing it first. The
+   recycled handle and [wlast]'s box make an unchanged re-insert
+   allocation-free. [wake] marks a thread entering the runnable set: on a
+   one-shard scheduler that always counts as one scoped weight write (so
+   a block/wake costs exactly one, whatever changed); otherwise only a
+   changed weight counts. *)
+let enqueue t s ~wake =
   if not s.in_draw then begin
-    let slot = s.th.tslot in
-    if
-      F.currency_value t.system s.cur <> t.wcache.(slot)
-      || factor t s <> t.ccache.(slot)
-    then begin
-      let cv = F.currency_value t.system s.cur in
-      let f = factor t s in
-      let nw = cv *. f in
-      t.wcache.(slot) <- cv;
-      t.ccache.(slot) <- f;
-      if s.counted then stree_adjust t s.shard (nw -. s.wlast);
-      s.wlast <- nw;
-      t.scoped_updates <- t.scoped_updates + 1
-    end;
+    if revalue t s || (wake && not (t.shards > 1)) then
+      t.scoped_updates <- t.scoped_updates + 1;
     (match s.dh with
     | Some h -> D.readd t.sdraws.(s.shard) h ~weight:s.wlast
     | None -> s.dh <- Some (D.add t.sdraws.(s.shard) ~client:s ~weight:s.wlast));
     s.in_draw <- true;
     if not s.counted then begin
-      stree_adjust t s.shard s.wlast;
+      adjust_mass t s.shard s.wlast;
       s.counted <- true
     end;
     if not s.in_fq then begin
       Queue.push s t.srings.(s.shard);
-      s.ring_of <- s.shard;
       s.in_fq <- true
     end
   end
 
-(* Revalue a sharded thread's draw weight in place (the scoped-refresh
-   write). Dequeued threads are skipped: their caches disagree with the
-   funding graph until [sh_enqueue] reconciles them on re-insert. *)
-let write_weight_sh t s =
-  match s.dh with
-  | Some h when s.in_draw ->
-      let cv = F.currency_value t.system s.cur in
-      let f = factor t s in
-      let nw = cv *. f in
-      t.wcache.(s.th.tslot) <- cv;
-      t.ccache.(s.th.tslot) <- f;
-      if s.counted then stree_adjust t s.shard (nw -. s.wlast);
-      s.wlast <- nw;
-      D.set_weight t.sdraws.(s.shard) h nw
-  | _ -> ()
+(* Hand a drawn thread to its CPU. With more than one shard another CPU
+   may draw in the same kernel round, so the winner leaves its draw for
+   the duration of its slice and [account] re-inserts it. With one shard
+   nobody else draws before [account], and the winner stays where it is:
+   a dequeue/re-insert per decision would reorder the List backend behind
+   any mid-slice wake and force an O(n) table rebuild per decision in the
+   Cumul and Alias backends. *)
+let[@inline] dispatch t s =
+  if t.shards > 1 then dequeue t s;
+  s.some
 
 (* Move a thread between shards: O(1) detach from the source structure,
    O(log n) re-insert into the destination, both on the existing handle
@@ -355,8 +360,8 @@ let migrate t s ~dst =
       | None -> assert false
     end;
     if s.counted then begin
-      stree_adjust t s.shard (-.s.wlast);
-      stree_adjust t dst s.wlast
+      adjust_mass t s.shard (-.s.wlast);
+      adjust_mass t dst s.wlast
     end;
     t.members.(s.shard) <- t.members.(s.shard) - 1;
     t.members.(dst) <- t.members.(dst) + 1;
@@ -441,7 +446,7 @@ let steal t ~dst =
         let s = D.client_at t.sdraws.(src) w in
         migrate t s ~dst;
         t.steals <- t.steals + 1;
-        Some s
+        dispatch t s
       end
     end
   end
@@ -461,60 +466,23 @@ let destroy_ticket t ticket = F.destroy_ticket t.system ticket
 
 (* --- scheduler callbacks ------------------------------------------------ *)
 
-(* Insertion computes the weight fresh (validating the thread currency's
-   caches), so a wake needs no follow-up event flush: it is itself the one
-   per-thread weight write of the block/wake path — count it as such. *)
-let add_to_draw t s =
-  if s.dh = None then begin
-    let cv = F.currency_value t.system s.cur in
-    let f = factor t s in
-    s.dh <- Some (D.add t.draw ~client:s ~weight:(cv *. f));
-    t.wcache.(s.th.tslot) <- cv;
-    t.ccache.(s.th.tslot) <- f;
-    t.scoped_updates <- t.scoped_updates + 1;
-    if not s.in_fq then begin
-      Queue.push s t.fallback_q;
-      s.in_fq <- true
-    end
-  end
-
-let remove_from_draw _t s =
-  match s.dh with
-  | Some h ->
-      D.remove (_t : t).draw h;
-      s.dh <- None
-  | None -> ()
-
 let ready t th =
   let s = state t th in
   if not (F.is_active s.competing) then F.resume t.system s.competing;
-  if t.shards > 0 then begin
-    place t s;
-    sh_enqueue t s
-  end
-  else add_to_draw t s
+  place t s;
+  enqueue t s ~wake:true
 
 let attach t th =
   let s = state t th in
   (* competing ticket becomes held (and active) the first time *)
   F.hold t.system s.competing;
-  if t.shards > 0 then begin
-    place t s;
-    sh_enqueue t s
-  end
-  else add_to_draw t s
+  place t s;
+  enqueue t s ~wake:true
 
 let unready t th =
   let s = state t th in
   F.suspend t.system s.competing;
-  if t.shards > 0 then begin
-    if s.counted then begin
-      stree_adjust t s.shard (-.s.wlast);
-      s.counted <- false
-    end;
-    if s.in_draw then dispatch_dequeue t s
-  end
-  else remove_from_draw t s
+  withdraw t s
 
 let drop_donations t s =
   if s.donations <> [] then begin
@@ -547,15 +515,8 @@ let detach t th =
   match find_state t th with
   | None -> ()
   | Some s ->
-      if t.shards > 0 then begin
-        if s.counted then begin
-          stree_adjust t s.shard (-.s.wlast);
-          s.counted <- false
-        end;
-        if s.in_draw then dispatch_dequeue t s;
-        if s.shard >= 0 then t.members.(s.shard) <- t.members.(s.shard) - 1
-      end
-      else remove_from_draw t s;
+      withdraw t s;
+      if s.shard >= 0 then t.members.(s.shard) <- t.members.(s.shard) - 1;
       drop_donations t s;
       (* Other threads may still be donating to this one (e.g. blocked
          mutex waiters whose owner dies); clear their references before the
@@ -590,16 +551,7 @@ let detach t th =
 
 let refresh_weights t =
   t.full_refreshes <- t.full_refreshes + 1;
-  if t.shards > 0 then
-    Array.iter
-      (function Some s -> write_weight_sh t s | None -> ())
-      t.st_tab
-  else
-    Array.iter
-      (function
-        | Some ({ dh = Some h; _ } as s) -> write_weight t s h
-        | _ -> ())
-      t.st_tab
+  Array.iter (function Some s -> write_weight t s | None -> ()) t.st_tab
 
 (* The [i]th pending entry's thread state, clearing its queued flag; [None]
    for an entry whose thread was detached (its currency slot emptied or
@@ -613,10 +565,12 @@ let take_pending t i =
       o
   | _ -> None
 
-(* Bring the draw in sync with the funding graph: a full rebuild only when
+(* Bring the draws in sync with the funding graph: a full rebuild only when
    explicitly requested ({!mark_dirty}), otherwise revalue exactly the
    threads whose currencies the change events dirtied — O(changed), the
-   steady-state path, in first-dirtied order. *)
+   steady-state path, in first-dirtied order. A thread out of its draw
+   (blocked, or dispatched on another CPU) is skipped: its caches disagree
+   with the funding graph until {!enqueue} reconciles them on re-insert. *)
 let flush_pending t =
   let n = t.pending_n in
   t.pending_n <- 0;
@@ -630,52 +584,21 @@ let flush_pending t =
   else
     for i = 0 to n - 1 do
       match take_pending t i with
-      | None -> ()
-      | Some s ->
-          if t.shards > 0 then begin
-            if s.in_draw then begin
-              write_weight_sh t s;
-              t.scoped_updates <- t.scoped_updates + 1
-            end
-          end
-          else begin
-            match s.dh with
-            | Some h ->
-                write_weight t s h;
-                t.scoped_updates <- t.scoped_updates + 1
-            | None -> ()
-          end
+      | Some s when s.in_draw ->
+          write_weight t s;
+          t.scoped_updates <- t.scoped_updates + 1
+      | _ -> ()
     done
 
 (* Unfunded threads never win a lottery (paper: zero tickets = starvation).
    To keep simulations with forgotten funding alive, optionally fall back to
-   round-robin among runnable threads when every runnable thread has zero
-   weight. The ring holds every runnable thread once; stale entries (threads
-   that blocked or exited since being queued) are dropped lazily, so a pick
-   is O(1) amortized. *)
-let fallback_pick t =
-  if not t.quantum_fallback then None
-  else begin
-    let rec next () =
-      match Queue.take_opt t.fallback_q with
-      | None -> None
-      | Some s ->
-          if s.dh = None then begin
-            s.in_fq <- false;
-            next ()
-          end
-          else begin
-            Queue.push s t.fallback_q;
-            s.some
-          end
-    in
-    next ()
-  end
-
-(* Sharded fallback: the per-shard round-robin ring, with the one-ring
-   invariant's lazy hand-off — an entry whose thread migrated away is
-   pushed to its new shard's ring on pop rather than eagerly on migrate. *)
-let sh_ring_pick t c =
+   round-robin among a shard's runnable threads when every one of them has
+   zero weight. The ring holds each runnable thread once; stale entries
+   (threads that blocked, exited or were dispatched since being queued) are
+   dropped lazily, so a pick is O(1) amortized. An entry whose thread
+   migrated away is handed to its new shard's ring on pop rather than
+   eagerly on migrate (the one-ring invariant). *)
+let ring_pick t c =
   if not t.quantum_fallback then None
   else begin
     let rec next () =
@@ -689,60 +612,40 @@ let sh_ring_pick t c =
           end
           else if s.shard <> c then begin
             Queue.push s t.srings.(s.shard);
-            s.ring_of <- s.shard;
             next ()
           end
           else begin
             Queue.push s t.srings.(c);
-            Some s
+            dispatch t s
           end
     in
     next ()
   end
 
+let runnable_count t =
+  let n = ref 0 in
+  for i = 0 to t.shards - 1 do
+    n := !n + D.size t.sdraws.(i)
+  done;
+  !n
+
 let fire_draw_hook t =
   match t.draw_hook with
   | None -> ()
   | Some hook ->
-      if t.shards > 0 then begin
-        let n = ref 0 in
-        for i = 0 to t.shards - 1 do
-          n := !n + D.size t.sdraws.(i)
-        done;
-        hook ~runnable:!n ~total_weight:(Sh.total t.stree)
-      end
-      else hook ~runnable:(D.size t.draw) ~total_weight:(D.total t.draw)
-
-let select t =
-  t.draws <- t.draws + 1;
-  (match t.profiler with
-  | None ->
-      flush_pending t;
-      fire_draw_hook t
-  | Some p ->
-      let t0 = Lotto_obs.Profile.start p in
-      flush_pending t;
-      Lotto_obs.Profile.stop p Lotto_obs.Profile.Valuation t0;
-      fire_draw_hook t);
-  (* Slot-based draw: the winner comes back as an int token and resolves to
-     the tstate's preallocated [Some th] — no option or handle wrapper is
-     built per decision. *)
-  match t.profiler with
-  | None ->
-      let w = D.draw_slot t.draw t.rng in
-      if w >= 0 then (D.client_at t.draw w).some else fallback_pick t
-  | Some p ->
-      let t0 = Lotto_obs.Profile.start p in
-      let w = D.draw_slot t.draw t.rng in
-      Lotto_obs.Profile.stop p Lotto_obs.Profile.Draw t0;
-      if w >= 0 then (D.client_at t.draw w).some else fallback_pick t
+      hook ~runnable:(runnable_count t) ~total_weight:(Sh.total t.stree)
 
 (* One scheduling decision for virtual CPU [cpu] = shard [cpu]. The local
    draw is consulted first; an empty (or unfunded) shard tries a ticket-
-   weighted steal, then its fallback ring. Whatever is returned is
-   dequeued for the duration of its slice, so no other CPU of the same
-   kernel round can dispatch it. *)
-let select_sharded t ~cpu =
+   weighted steal when there are other shards, then its fallback ring.
+   Slot-based draw: the winner comes back as an int token and resolves to
+   the tstate's preallocated [Some th] — no option or handle wrapper is
+   built per decision. *)
+let select t ~cpu =
+  if cpu >= t.shards then
+    invalid_arg
+      (Printf.sprintf "Lottery_sched.select: cpu %d, but only %d shard(s)" cpu
+         t.shards);
   t.draws <- t.draws + 1;
   (match t.profiler with
   | None ->
@@ -753,7 +656,7 @@ let select_sharded t ~cpu =
       flush_pending t;
       Lotto_obs.Profile.stop p Lotto_obs.Profile.Valuation t0;
       fire_draw_hook t);
-  if t.migration_enabled && t.shards > 1 then rebalance t;
+  if t.shards > 1 && t.migration_enabled then rebalance t;
   let d = t.sdraws.(cpu) in
   let w =
     match t.profiler with
@@ -764,56 +667,27 @@ let select_sharded t ~cpu =
         Lotto_obs.Profile.stop p Lotto_obs.Profile.Draw t0;
         w
   in
-  if w >= 0 then begin
-    let s = D.client_at d w in
-    dispatch_dequeue t s;
-    s.some
-  end
-  else begin
-    match steal t ~dst:cpu with
-    | Some s ->
-        dispatch_dequeue t s;
-        s.some
-    | None -> (
-        match sh_ring_pick t cpu with
-        | Some s ->
-            dispatch_dequeue t s;
-            s.some
-        | None -> None)
-  end
-
-let account t th ~used:_ ~quantum:_ ~blocked:_ =
-  if t.shards > 0 then begin
-    (* The dispatched thread was dequeued at selection; put it back (with
-       a freshness-checked weight) if its slice left it runnable. Blocked
-       and exited threads were already handled by unready/detach. *)
-    match find_state t th with
-    | Some s when th.state = Runnable -> sh_enqueue t s
-    | _ -> ()
-  end
+  if w >= 0 then dispatch t (D.client_at d w)
   else
-  (* The thread's compensation factor was reset when its quantum started
-     and possibly re-set when it blocked; refresh its draw weight so the
-     next draw sees the current value. The fresh value is compared against
-     the cached copy of the last write first: for a compute-bound thread on
-     a quiescent funding graph nothing changed, and skipping [set_weight]
-     keeps the comparison float unboxed (the cross-module call would box
-     it). Skipping is exact, not approximate — a weight delta of zero
-     leaves every backend bit-identical. *)
-  if not t.dirty then begin
-    match find_state t th with
-    | Some ({ dh = Some h; _ } as s) ->
-        (* Each input is compared against an existing box (the funding
-           valuation cache, the thread's compensate field), so the
-           quiescent path computes no fresh float at all. Skipping the
-           write when both inputs match is exact: the product could not
-           have changed. *)
-        if
-          F.currency_value t.system s.cur <> t.wcache.(th.tslot)
-          || factor t s <> t.ccache.(th.tslot)
-        then write_weight t s h
-    | _ -> ()
-  end
+    match if t.shards > 1 then steal t ~dst:cpu else None with
+    | Some _ as won -> won
+    | None -> ring_pick t cpu
+
+(* The slice is over. On one shard the thread never left its draw:
+   refresh its weight in place, since its compensation factor was reset
+   when its quantum started and possibly re-set when it blocked (skipped
+   while a full refresh is pending, and when neither input changed — the
+   comparison keeps the quiescent path free of fresh floats). A thread
+   dispatched off a shard that other CPUs share is put back if its slice
+   left it runnable. Blocked and exited threads were already handled by
+   unready/detach. *)
+let account t th ~used:_ ~quantum:_ ~blocked:_ =
+  match find_state t th with
+  | Some ({ dh = Some h; _ } as s) when s.in_draw ->
+      if (not t.dirty) && revalue t s then
+        D.set_weight t.sdraws.(s.shard) h s.wlast
+  | Some s when th.state = Runnable -> enqueue t s ~wake:false
+  | _ -> ()
 
 (* Lottery among blocked waiters (paper §6.1), weighted by each waiter's
    own funding. A waiter's thread currency is inactive while it blocks (its
@@ -864,10 +738,8 @@ let sched t =
     detach = detach t;
     ready = ready t;
     unready = unready t;
-    smp_ok = t.shards > 0;
-    select =
-      (if t.shards > 0 then fun ~cpu -> select_sharded t ~cpu
-       else fun ~cpu:_ -> select t);
+    smp_ok = true;
+    select = (fun ~cpu -> select t ~cpu);
     account = (fun th ~used ~quantum ~blocked -> account t th ~used ~quantum ~blocked);
     donate = (fun ~src ~dst -> donate t ~src ~dst);
     revoke = (fun ~src -> revoke t ~src);
@@ -926,16 +798,15 @@ let thread_entitlement t th = potential_value t (state t th)
 let draws t = t.draws
 let full_refreshes t = t.full_refreshes
 let scoped_weight_updates t = t.scoped_updates
-let list_comparisons t = D.comparisons t.draw
-let runnable_count t =
-  if t.shards > 0 then begin
-    let n = ref 0 in
-    for i = 0 to t.shards - 1 do
-      n := !n + D.size t.sdraws.(i)
-    done;
-    !n
-  end
-  else D.size t.draw
+
+let list_comparisons t =
+  match t.mode with
+  | List_mode ->
+      Some
+        (Array.fold_left
+           (fun n d -> n + Option.value (D.comparisons d) ~default:0)
+           0 t.sdraws)
+  | Tree_mode | Cumul_mode | Alias_mode -> None
 
 (* --- sharding introspection and control ---------------------------------- *)
 
@@ -947,16 +818,15 @@ let set_placement_hook t h = t.placement_hook <- h
 
 let shard_of t th =
   match find_state t th with
-  | Some s when t.shards > 0 -> s.shard
-  | _ -> -1
+  | Some s -> s.shard
+  | None -> -1
 
 let shard_ticket_mass t i =
-  if t.shards <= 0 || i < 0 || i >= t.shards then
+  if i < 0 || i >= t.shards then
     invalid_arg "Lottery_sched.shard_ticket_mass: bad shard";
   Sh.get t.stree i
 
 let force_migrate t th ~dst =
-  if t.shards <= 0 then invalid_arg "Lottery_sched.force_migrate: not sharded";
   if dst < 0 || dst >= t.shards then
     invalid_arg "Lottery_sched.force_migrate: bad shard";
   match find_state t th with
@@ -970,43 +840,40 @@ let force_migrate t th ~dst =
    and flag coherence (in_draw implies counted implies placed). Read-only;
    safe between any two slices. *)
 let check_sharding t =
-  if t.shards <= 0 then []
-  else begin
-    let out = ref [] in
-    let vf fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
-    let sums = Array.make t.shards 0. in
-    Array.iter
-      (function
-        | None -> ()
-        | Some s ->
-            if s.in_draw && not s.counted then
-              vf "%s: in a shard draw but not counted in the shard tree"
-                s.th.name;
-            if s.counted && (s.shard < 0 || s.shard >= t.shards) then
-              vf "%s: counted but shard id %d out of range" s.th.name s.shard;
-            if s.counted && s.shard >= 0 && s.shard < t.shards then
-              sums.(s.shard) <- sums.(s.shard) +. s.wlast;
-            (match s.dh with
-            | Some h ->
-                for i = 0 to t.shards - 1 do
-                  let here = D.mem t.sdraws.(i) h in
-                  if s.in_draw && i = s.shard && not here then
-                    vf "%s: claims shard %d but its handle is not there"
-                      s.th.name s.shard;
-                  if here && (not s.in_draw || i <> s.shard) then
-                    vf "%s: handle live in shard %d (claims %s)" s.th.name i
-                      (if s.in_draw then string_of_int s.shard else "none")
-                done
-            | None ->
-                if s.in_draw then
-                  vf "%s: in_draw set but no draw handle" s.th.name))
-      t.st_tab;
-    for i = 0 to t.shards - 1 do
-      let leaf = Sh.get t.stree i in
-      let scale = max 1. (max (abs_float leaf) (abs_float sums.(i))) in
-      if abs_float (leaf -. sums.(i)) > 1e-6 *. scale then
-        vf "shard %d: tree mass %.9g but counted tstates sum to %.9g" i leaf
-          sums.(i)
-    done;
-    List.rev !out
-  end
+  let out = ref [] in
+  let vf fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
+  let sums = Array.make t.shards 0. in
+  Array.iter
+    (function
+      | None -> ()
+      | Some s ->
+          if s.in_draw && not s.counted then
+            vf "%s: in a shard draw but not counted in the shard tree"
+              s.th.name;
+          if s.counted && (s.shard < 0 || s.shard >= t.shards) then
+            vf "%s: counted but shard id %d out of range" s.th.name s.shard;
+          if s.counted && s.shard >= 0 && s.shard < t.shards then
+            sums.(s.shard) <- sums.(s.shard) +. s.wlast;
+          (match s.dh with
+          | Some h ->
+              for i = 0 to t.shards - 1 do
+                let here = D.mem t.sdraws.(i) h in
+                if s.in_draw && i = s.shard && not here then
+                  vf "%s: claims shard %d but its handle is not there"
+                    s.th.name s.shard;
+                if here && (not s.in_draw || i <> s.shard) then
+                  vf "%s: handle live in shard %d (claims %s)" s.th.name i
+                    (if s.in_draw then string_of_int s.shard else "none")
+              done
+          | None ->
+              if s.in_draw then
+                vf "%s: in_draw set but no draw handle" s.th.name))
+    t.st_tab;
+  for i = 0 to t.shards - 1 do
+    let leaf = Sh.get t.stree i in
+    let scale = max 1. (max (abs_float leaf) (abs_float sums.(i))) in
+    if abs_float (leaf -. sums.(i)) > 1e-6 *. scale then
+      vf "shard %d: tree mass %.9g but counted tstates sum to %.9g" i leaf
+        sums.(i)
+  done;
+  List.rev !out

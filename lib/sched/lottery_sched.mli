@@ -44,17 +44,20 @@ val create :
     reproduces the paper's §4.5 counterexample where an I/O-bound thread
     receives far less than its entitled share.
 
-    [shards] (default [0] = unsharded) turns on the multi-CPU mode: one
-    draw structure per shard, shard [i] serving virtual CPU [i], with
-    threads placed on the least-loaded shard (ticket-weighted; equal
-    masses, such as the zero masses of not-yet-funded threads, go to the
-    shard with the fewest threads), rebalanced
-    when a shard's ticket mass deviates from the [1/shards] ideal by more
-    than [imbalance_band] (default [0.25], a fraction of the ideal), and
-    stolen from a ticket-weighted random victim when a CPU's own shard has
-    nothing runnable. A sharded scheduler declares
-    {!Lotto_sim.Types.sched.smp_ok} and dequeues the winner on dispatch, so
-    it also works (and is byte-stable) on a 1-CPU kernel with [shards = 1].
+    [shards] (default [1]; [0] is accepted and means [1]) is the number
+    of draw structures, shard [i] serving virtual CPU [i]: a kernel
+    driving this scheduler may have at most [shards] CPUs. Threads are
+    placed on the least-loaded shard (ticket-weighted; equal masses, such
+    as the zero masses of not-yet-funded threads, go to the shard with the
+    fewest threads). With more than one shard they are rebalanced when a
+    shard's ticket mass deviates from the [1/shards] ideal by more than
+    [imbalance_band] (default [0.25], a fraction of the ideal), stolen
+    from a ticket-weighted random victim when a CPU's own shard has
+    nothing runnable, and the winner leaves its draw for the duration of
+    its slice so that no other CPU of the same kernel round can pick it.
+    A one-shard scheduler is the paper's single global lottery: the winner
+    stays in the draw while it runs. Every lottery scheduler declares
+    {!Lotto_sim.Types.sched.smp_ok}.
     Raises [Invalid_argument] when [shards < 0] or [imbalance_band <= 0]. *)
 
 val sched : t -> Lotto_sim.Types.sched
@@ -161,35 +164,34 @@ val full_refreshes : t -> int
 
 val scoped_weight_updates : t -> int
 (** Cumulative per-thread weight writes on the incremental path: weights
-    computed when a thread (re)enters the draw, plus flushes of scoped
-    change events for threads already in it. A block/wake of one
-    base-funded thread costs exactly one of these — the insert-time write
-    at wake — independent of how many threads exist. *)
+    computed when a thread (re)enters a draw, plus flushes of scoped
+    change events for threads already in one. On a one-shard scheduler
+    every wake counts as one, so a block/wake of one base-funded thread
+    costs exactly one of these — the insert-time write at wake —
+    independent of how many threads exist; with more shards an insert
+    (a wake, or the re-insert after a slice) counts only when the
+    thread's weight changed. *)
 
 val list_comparisons : t -> int option
-(** Cumulative list-entries examined ([None] in tree mode): the paper's
-    search-length metric for the move-to-front heuristic. *)
+(** Cumulative list entries examined, summed over every shard's draw
+    ([None] outside [List_mode]): the paper's search-length metric for the
+    move-to-front heuristic. *)
 
 val runnable_count : t -> int
 
-(** {1 Sharded (multi-CPU) mode}
-
-    All of the following are meaningful only when [create] was given
-    [shards > 0]; on an unsharded scheduler the accessors return [0] /
-    [-1] / [[]] and {!force_migrate} raises. *)
+(** {1 Shards (per-CPU draws)} *)
 
 val shards : t -> int
-(** Number of shards ([0] when unsharded). *)
+(** Number of shards, always [>= 1]. *)
 
 val shard_of : t -> Lotto_sim.Types.thread -> int
 (** The shard the thread is currently placed on; [-1] if the scheduler
-    has no state for it (or is unsharded). A dispatched thread keeps its
-    shard id for the duration of its slice. *)
+    has no state for it. A dispatched thread keeps its shard id for the
+    duration of its slice. *)
 
 val shard_ticket_mass : t -> int -> float
 (** Ticket mass currently assigned to a shard (runnable-in-draw plus
-    dispatched; blocked threads carry no mass). Raises on a bad index or
-    an unsharded scheduler. *)
+    dispatched; blocked threads carry no mass). Raises on a bad index. *)
 
 val migrations : t -> int
 (** Threads moved between shards so far (rebalancing, stealing and
@@ -206,22 +208,21 @@ val set_migration_enabled : t -> bool -> unit
 
 val set_placement_hook : t -> (Lotto_sim.Types.thread -> int) option -> unit
 (** Override initial placement: called once per thread when it first
-    becomes runnable; a return out of [0..shards-1] falls back to the
-    default least-loaded choice. *)
+    becomes runnable; a return out of [0..shards-1] raises
+    [Invalid_argument]. *)
 
 val force_migrate : t -> Lotto_sim.Types.thread -> dst:int -> unit
 (** Move a thread to shard [dst] immediately (no-op when already there or
     when the scheduler holds no state for it). O(1) detach, O(log n)
     re-insert, zero allocation in the steady state — the bench hook for
-    measuring migration cost. Raises on an unsharded scheduler or a bad
-    [dst]. *)
+    measuring migration cost. Raises on a bad [dst]. *)
 
 val check_sharding : t -> string list
 (** Audit sharded bookkeeping: each runnable thread's draw handle is live
     in exactly the shard it claims, each shard-tree leaf matches the
     ticket mass of the threads counted into it (relative epsilon — leaves
     are maintained incrementally), and the in-draw/counted flags are
-    coherent. Returns one string per violation; empty means healthy (and
-    always empty on an unsharded scheduler). Read-only between slices;
+    coherent. Returns one string per violation; empty means healthy.
+    Read-only between slices;
     composed with the kernel and funding audits by the {!Lotto_chaos}
     auditor. *)

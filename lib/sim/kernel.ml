@@ -35,7 +35,6 @@ type t = {
   mutable idle : int;
   mutable slices : int;
   bus : Obs.Bus.t;
-  mutable tracer_sub : Obs.Bus.subscription option; (* legacy set_tracer shim *)
   mutable current : thread option; (* thread being advanced, if any *)
   (* registries of every synchronization object created through this
      kernel, in creation order: the invariant auditor cross-checks
@@ -89,7 +88,6 @@ let create ?(quantum = Time.ms 100) ?(cpus = 1) ~sched () =
     idle = 0;
     slices = 0;
     bus = Obs.Bus.create ();
-    tracer_sub = None;
     current = None;
     ports_v = Vec.create ();
     mutexes_v = Vec.create ();
@@ -1349,23 +1347,6 @@ let failures k =
 
 let bus k = k.bus
 
-(* Legacy single-tracer interface, now one bus subscriber among many: the
-   five historical event kinds render to their exact old lines (see
-   {!Obs.Event.render}), so pre-bus consumers and determinism tests keep
-   working without clobbering other observers. *)
-let set_tracer k f =
-  (match k.tracer_sub with
-  | Some s ->
-      Obs.Bus.unsubscribe s;
-      k.tracer_sub <- None
-  | None -> ());
-  match f with
-  | None -> ()
-  | Some f ->
-      k.tracer_sub <-
-        Some
-          (Obs.Bus.subscribe ~name:"legacy-tracer" k.bus (fun time ev ->
-               f time (Obs.Event.render ev)))
 let cpu_time th = th.cpu
 let thread_name th = th.name
 let thread_id th = th.id

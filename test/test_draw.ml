@@ -403,68 +403,6 @@ let test_tree_drift_stability () =
   done;
   checkb "still consistent" true (Tl.size t = 32)
 
-(* --- distributed lottery ----------------------------------------------------- *)
-
-module Dl = Core.Distributed_lottery
-
-let test_distributed_rounds_up_nodes () =
-  let t = Dl.create ~nodes:5 () in
-  checki "rounded to 8" 8 (Dl.nodes t);
-  checkb "bad node rejected" true
-    (match Dl.add_on t ~node:8 ~client:() ~weight:1. with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
-let test_distributed_distribution () =
-  let t = Dl.create ~nodes:4 () in
-  (* clients spread across nodes with distinct weights *)
-  let weights = [| 8.; 4.; 2.; 1.; 1. |] in
-  Array.iteri
-    (fun i w -> ignore (Dl.add_on t ~node:(i mod 4) ~client:i ~weight:w))
-    weights;
-  checkf "grand total" 16. (Dl.total t);
-  checkf "node 0 holds clients 0 and 4" 9. (Dl.node_total t 0);
-  let r = rng () in
-  let observed = Array.make 5 0 in
-  for _ = 1 to 20_000 do
-    match Dl.draw_client t r with
-    | Some i -> observed.(i) <- observed.(i) + 1
-    | None -> Alcotest.fail "no winner"
-  done;
-  checkb "system-wide proportional (chi-square)" true
-    (Chi.goodness_of_fit ~observed ~weights ())
-
-let test_distributed_message_bounds () =
-  let t = Dl.create ~nodes:16 () in
-  let h = Dl.add_on t ~node:3 ~client:"x" ~weight:5. in
-  let after_add = Dl.messages t in
-  (* one message per tree level on the update path: log2(16) = 4 *)
-  checki "add costs log2(nodes) messages" 4 after_add;
-  Dl.set_weight t h 7.;
-  checki "update costs log2(nodes)" 8 (Dl.messages t);
-  let r = rng () in
-  ignore (Dl.draw t r);
-  checki "draw costs log2(nodes) hops" 12 (Dl.messages t);
-  Dl.remove t h;
-  checki "remove costs log2(nodes)" 16 (Dl.messages t);
-  checkb "empty after remove" true (Dl.draw t r = None)
-
-let test_distributed_remove_and_update () =
-  let t = Dl.create ~nodes:2 () in
-  let a = Dl.add_on t ~node:0 ~client:"a" ~weight:1. in
-  let b = Dl.add_on t ~node:1 ~client:"b" ~weight:0. in
-  let r = rng () in
-  for _ = 1 to 100 do
-    check (Alcotest.option Alcotest.string) "only a can win" (Some "a")
-      (Dl.draw_client t r)
-  done;
-  Dl.set_weight t b 1000.;
-  Dl.remove t a;
-  for _ = 1 to 100 do
-    check (Alcotest.option Alcotest.string) "now only b" (Some "b")
-      (Dl.draw_client t r)
-  done
-
 (* --- unified Draw front-end -------------------------------------------------- *)
 
 module D = Core.Draw
@@ -489,7 +427,7 @@ let test_draw_wrapper_ops () =
       D.iter t (fun h -> check Alcotest.string "iter sees a" "a" (D.client h));
       D.remove t a;
       checkb "empty draw" true (D.draw t (rng ()) = None))
-    [ D.List; D.Tree; D.Distributed 4; D.Cumul; D.Alias ]
+    [ D.List; D.Tree; D.Cumul; D.Alias ]
 
 let test_draw_foreign_handle_rejected () =
   let l = D.of_mode D.List and tr = D.of_mode D.Tree in
@@ -514,10 +452,6 @@ let test_draw_backends_agree () =
   in
   let tree = D.of_mode D.Tree in
   Array.iteri (fun i w -> ignore (D.add tree ~client:i ~weight:w)) weights;
-  let dist = D.of_mode (D.Distributed 8) in
-  (* round-robin placement over >= n nodes: client i on node i, so the
-     node-prefix order is the index order too *)
-  Array.iteri (fun i w -> ignore (D.add dist ~client:i ~weight:w)) weights;
   let cumul = D.of_mode D.Cumul in
   Array.iteri (fun i w -> ignore (D.add cumul ~client:i ~weight:w)) weights;
   let alias = D.of_mode D.Alias in
@@ -525,7 +459,6 @@ let test_draw_backends_agree () =
   let total = Array.fold_left ( +. ) 0. weights in
   checkf "list total" total (D.total lst);
   checkf "tree total" total (D.total tree);
-  checkf "dist total" total (D.total dist);
   checkf "cumul total" total (D.total cumul);
   checkf "alias total" total (D.total alias);
   let r = rng () in
@@ -534,15 +467,12 @@ let test_draw_backends_agree () =
     let winner t = Option.map D.client (D.draw_with_value t ~winning:v) in
     let wl = winner lst
     and wt = winner tree
-    and wd = winner dist
     and wc = winner cumul
     and wa = winner alias in
-    if wl <> wt || wt <> wd || wt <> wc || wt <> wa then
-      Alcotest.failf "disagree at %.6f: list=%s tree=%s dist=%s cumul=%s alias=%s"
-        v
+    if wl <> wt || wt <> wc || wt <> wa then
+      Alcotest.failf "disagree at %.6f: list=%s tree=%s cumul=%s alias=%s" v
         (match wl with Some i -> string_of_int i | None -> "-")
         (match wt with Some i -> string_of_int i | None -> "-")
-        (match wd with Some i -> string_of_int i | None -> "-")
         (match wc with Some i -> string_of_int i | None -> "-")
         (match wa with Some i -> string_of_int i | None -> "-")
   done
@@ -561,7 +491,6 @@ let test_draw_backend_distributions () =
     [
       (D.List, "list");
       (D.Tree, "tree");
-      (D.Distributed 4, "distributed");
       (D.Cumul, "cumul");
       (D.Alias, "alias");
     ]
@@ -576,7 +505,7 @@ let test_draw_first_class_backends () =
       match B.draw_client t (rng ()) with
       | Some 42 -> ()
       | _ -> Alcotest.fail "expected the only client to win")
-    [ D.List; D.Tree; D.Distributed 4; D.Cumul; D.Alias ]
+    [ D.List; D.Tree; D.Cumul; D.Alias ]
 
 (* --- flat backends: cumul, alias, draw_slot, draw_k -------------------------- *)
 
@@ -604,7 +533,6 @@ let test_draw_slot_matches_draw_client () =
     [
       (D.List, "list");
       (D.Tree, "tree");
-      (D.Distributed 4, "distributed");
       (D.Cumul, "cumul");
       (D.Alias, "alias");
     ]
@@ -634,7 +562,6 @@ let test_draw_k_matches_sequential () =
     [
       (D.List, "list");
       (D.Tree, "tree");
-      (D.Distributed 4, "distributed");
       (D.Cumul, "cumul");
       (D.Alias, "alias");
     ]
@@ -842,16 +769,6 @@ let () =
           Alcotest.test_case "fewer than two clients" `Quick test_inverse_small_cases;
           Alcotest.test_case "occupancy weighting" `Quick test_inverse_weighted_extra;
           Alcotest.test_case "set_tickets" `Quick test_inverse_set_tickets;
-        ] );
-      ( "distributed",
-        [
-          Alcotest.test_case "node rounding & validation" `Quick
-            test_distributed_rounds_up_nodes;
-          Alcotest.test_case "system-wide distribution" `Slow
-            test_distributed_distribution;
-          Alcotest.test_case "O(log n) message bounds" `Quick
-            test_distributed_message_bounds;
-          Alcotest.test_case "remove and update" `Quick test_distributed_remove_and_update;
         ] );
       ( "unified-draw",
         [

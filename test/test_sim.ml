@@ -788,8 +788,7 @@ let test_determinism_trace () =
     let rng = Rng.create ~seed () in
     let ls = Lottery_sched.create ~rng () in
     let k = Kernel.create ~sched:(Lottery_sched.sched ls) () in
-    let buf = Buffer.create 256 in
-    Kernel.set_tracer k (Some (fun t s -> Buffer.add_string buf (Printf.sprintf "%d %s\n" t s)));
+    let buf = Trace_lines.capture k in
     let mk name amount =
       let th =
         Kernel.spawn k ~name (fun () ->

@@ -88,8 +88,7 @@ let test_readd_roundtrip () =
            | Draw.List -> "List_lottery.readd: handle still live"
            | Draw.Tree -> "Tree_lottery.readd: handle still live"
            | Draw.Cumul -> "Cumul_lottery.readd: handle still live"
-           | Draw.Alias -> "Alias_lottery.readd: handle still live"
-           | _ -> assert false))
+           | Draw.Alias -> "Alias_lottery.readd: handle still live"))
         (fun () -> Draw.readd d b ~weight:1.))
     modes
 
@@ -219,9 +218,7 @@ let trace_of ~cpus ~shards ~pin ~seed ~horizon =
       ~migration:(not pin) ~shards ~cpus ~seed ()
   in
   let base = Lottery_sched.base_currency ls in
-  let buf = Buffer.create 4096 in
-  Kernel.set_tracer k
-    (Some (fun t line -> Buffer.add_string buf (Printf.sprintf "%d %s\n" t line)));
+  let buf = Trace_lines.capture k in
   List.iteri
     (fun i amount ->
       let th = spin k (Printf.sprintf "w%d" i) in
@@ -233,7 +230,11 @@ let trace_of ~cpus ~shards ~pin ~seed ~horizon =
 let test_pinned_n_cpu_equals_1_cpu () =
   (* With every thread pinned to shard 0 and migration off, the extra CPUs
      only ever select on empty shards (consuming no randomness), so an
-     N-CPU run must replay the 1-CPU schedule byte for byte. *)
+     N-CPU run must replay the 1-CPU schedule byte for byte. The N-shard
+     side also takes each winner out of its draw for the slice, which the
+     1-shard side does not; with spinners only (no mid-slice wake) and
+     integer ticket amounts the re-insert restores the same tree slot and
+     the same exact partial sums. *)
   let horizon = Time.seconds 30 in
   let one = trace_of ~cpus:1 ~shards:1 ~pin:false ~seed:77 ~horizon in
   checkb "trace nonempty" true (String.length one > 0);
@@ -287,9 +288,7 @@ let test_sharded_determinism () =
   let run () =
     let k, ls = sharded_kernel ~shards:4 ~cpus:4 ~seed:2024 () in
     let base = Lottery_sched.base_currency ls in
-    let buf = Buffer.create 4096 in
-    Kernel.set_tracer k
-      (Some (fun t line -> Buffer.add_string buf (Printf.sprintf "%d %s\n" t line)));
+    let buf = Trace_lines.capture k in
     for i = 0 to 19 do
       let th =
         Kernel.spawn k ~name:(Printf.sprintf "d%02d" i) (fun () ->
@@ -395,6 +394,89 @@ let test_steal_on_empty_shard () =
   | None -> Alcotest.fail "shard 1 lost the thread");
   checki "no second steal needed" 1 (Lottery_sched.steals ls)
 
+(* --- the one-shard case ------------------------------------------------------ *)
+
+(* A 1-CPU world with block/wake and funding churn: spinners, sleepers
+   that block mid-quantum (compensation), and a manager thread that
+   re-sets a ticket every 50 ms. *)
+let one_cpu_world ls =
+  let k = Kernel.create ~sched:(Lottery_sched.sched ls) () in
+  let base = Lottery_sched.base_currency ls in
+  let tickets =
+    List.init 6 (fun i ->
+        let th =
+          Kernel.spawn k ~name:(Printf.sprintf "c%d" i) (fun () ->
+              while true do
+                Api.compute (Time.ms (3 + i));
+                if i mod 2 = 0 then Api.sleep (Time.ms (10 * (i + 1)))
+              done)
+        in
+        Lottery_sched.fund_thread ls th ~amount:(100 * (i + 1)) ~from:base)
+  in
+  let tickets = Array.of_list tickets in
+  ignore
+    (Kernel.spawn k ~name:"manager" (fun () ->
+         let n = ref 0 in
+         while true do
+           Api.sleep (Time.ms 50);
+           incr n;
+           Lottery_sched.set_ticket_amount ls
+             tickets.(!n mod Array.length tickets)
+             (50 + (37 * !n mod 400))
+         done));
+  k
+
+let test_one_shard_traces_identical () =
+  List.iter
+    (fun (mode, mode_name) ->
+      let trace make =
+        let ls = make ~mode ~rng:(Rng.create ~seed:31 ()) in
+        let k = one_cpu_world ls in
+        let buf = Trace_lines.capture k in
+        ignore (Kernel.run k ~until:(Time.seconds 5));
+        Buffer.contents buf
+      in
+      let default = trace (fun ~mode ~rng -> Lottery_sched.create ~mode ~rng ()) in
+      checkb (mode_name ^ ": trace nonempty") true (String.length default > 0);
+      List.iter
+        (fun shards ->
+          checks
+            (Printf.sprintf "%s: shards:%d trace = default" mode_name shards)
+            default
+            (trace (fun ~mode ~rng -> Lottery_sched.create ~mode ~shards ~rng ())))
+        [ 0; 1 ])
+    [ (Lottery_sched.List_mode, "list"); (Lottery_sched.Tree_mode, "tree") ]
+
+let test_one_shard_audit_clean () =
+  let ls = Lottery_sched.create ~rng:(Rng.create ~seed:8 ()) () in
+  checki "one shard by default" 1 (Lottery_sched.shards ls);
+  let k = one_cpu_world ls in
+  for i = 1 to 40 do
+    ignore (Kernel.run k ~until:(Time.ms (125 * i)));
+    check (Alcotest.list Alcotest.string)
+      (Printf.sprintf "sharding audit clean at %d ms" (125 * i))
+      [] (Lottery_sched.check_sharding ls)
+  done
+
+let test_list_comparisons_sharded () =
+  (* the search-length counter sums every shard's list, not just one *)
+  let ls =
+    Lottery_sched.create ~mode:Lottery_sched.List_mode ~shards:2
+      ~rng:(Rng.create ~seed:3 ()) ()
+  in
+  let k = Kernel.create ~cpus:2 ~sched:(Lottery_sched.sched ls) () in
+  let base = Lottery_sched.base_currency ls in
+  for i = 0 to 19 do
+    ignore
+      (Lottery_sched.fund_thread ls
+         (spin k (Printf.sprintf "l%02d" i))
+         ~amount:(10 * (i + 1)) ~from:base)
+  done;
+  ignore (Kernel.run k ~until:(Time.seconds 20));
+  match Lottery_sched.list_comparisons ls with
+  | Some n -> checkb (Printf.sprintf "%d comparisons counted" n) true (n > 0)
+  | None -> Alcotest.fail "List mode reports no comparison count"
+
 let test_smp_guards () =
   let rng = Rng.create ~seed:1 () in
   let rr = Round_robin.create () in
@@ -406,6 +488,13 @@ let test_smp_guards () =
     (fun () ->
       let ls = Lottery_sched.create ~shards:1 ~rng () in
       ignore (Kernel.create ~cpus:0 ~sched:(Lottery_sched.sched ls) ()));
+  Alcotest.check_raises "more CPUs than shards rejected at the first select"
+    (Invalid_argument "Lottery_sched.select: cpu 1, but only 1 shard(s)")
+    (fun () ->
+      let ls = Lottery_sched.create ~rng () in
+      let k = Kernel.create ~cpus:2 ~sched:(Lottery_sched.sched ls) () in
+      ignore (spin k "a");
+      ignore (Kernel.run k ~until:(Time.ms 100)));
   let ls = Lottery_sched.create ~shards:2 ~rng () in
   Alcotest.check_raises "force_migrate bad shard"
     (Invalid_argument "Lottery_sched.force_migrate: bad shard")
@@ -448,5 +537,14 @@ let () =
           Alcotest.test_case "steal on an empty shard" `Quick
             test_steal_on_empty_shard;
           Alcotest.test_case "argument guards" `Quick test_smp_guards;
+        ] );
+      ( "one-shard",
+        [
+          Alcotest.test_case "create (), ~shards:0 and ~shards:1 trace alike"
+            `Quick test_one_shard_traces_identical;
+          Alcotest.test_case "sharding audit clean under churn" `Quick
+            test_one_shard_audit_clean;
+          Alcotest.test_case "list comparisons summed over shards" `Quick
+            test_list_comparisons_sharded;
         ] );
     ]
