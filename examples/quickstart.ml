@@ -18,13 +18,13 @@ let () =
   let handles =
     List.map
       (fun (name, tickets) ->
-        List_lottery.add lottery ~client:name ~weight:(float_of_int tickets))
+        List_lottery.add lottery ~client:name ~weight:tickets)
       (* the list lottery prepends, so insert in reverse to keep the
          paper's left-to-right order *)
       (List.rev [ ("c1", 10); ("c2", 2); ("c3", 5); ("c4", 1); ("c5", 2) ])
   in
   ignore handles;
-  (match List_lottery.draw_with_value lottery ~winning:15. with
+  (match List_lottery.draw_with_value lottery ~winning:15 with
   | Some h ->
       Printf.printf "Figure 1 lottery: winning ticket 15 of 20 -> client %s\n"
         (List_lottery.client h)

@@ -6,11 +6,11 @@
       seeded, reproducible randomness;
     - {!Funding}: tickets and currencies — the resource-rights model of
       Sections 3–4 (transfers, inflation, currencies, compensation);
-    - {!Draw} over {!List_lottery} / {!Tree_lottery} / {!Cumul_lottery} /
-      {!Alias_lottery}: one weighted-draw interface for every lottery in
-      the system (Sections 4.2 and 5.1), plus {!Shard_tree} (the §4.2
-      distributed lottery's tree over per-CPU draws) and
-      {!Inverse_lottery} (Section 6.2);
+    - {!Draw} over {!List_lottery} / {!Tree_lottery} / {!Alias_lottery}:
+      one weighted-draw interface, over exact integer tickets, for every
+      lottery in the system (Sections 4.2, 5.1 and 6.2), plus
+      {!Shard_tree} (the §4.2 distributed lottery's tree over per-CPU
+      draws);
     - {!Time}, {!Kernel}, {!Api}, {!Types}: the discrete-event kernel
       standing in for Mach 3.0, with effect-based threads, synchronous RPC
       and mutexes;
@@ -61,9 +61,7 @@ module Arena = Lotto_arena
 module Draw = Lotto_draw.Draw
 module List_lottery = Lotto_draw.List_lottery
 module Tree_lottery = Lotto_draw.Tree_lottery
-module Cumul_lottery = Lotto_draw.Cumul_lottery
 module Alias_lottery = Lotto_draw.Alias_lottery
-module Inverse_lottery = Lotto_draw.Inverse_lottery
 module Shard_tree = Lotto_draw.Shard_tree
 
 (* Simulation kernel *)

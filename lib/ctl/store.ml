@@ -419,7 +419,8 @@ let exec ?(user = "root") t cmd =
             (fun e ->
               ignore
                 (Lotto_draw.Draw.add d ~client:e
-                   ~weight:(F.ticket_value t.system e.ticket)))
+                   ~weight:
+                     (Lotto_draw.Draw.units (F.ticket_value t.system e.ticket))))
             (List.rev held);
           for _ = 1 to n do
             match Lotto_draw.Draw.draw_client d rng with

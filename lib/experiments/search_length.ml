@@ -12,7 +12,7 @@ type row = {
 type t = { rows : row array }
 
 (* skewed ticket distribution: client r holds ~1000/(r+1) tickets *)
-let weight_of rank = 1000. /. float_of_int (rank + 1)
+let weight_of rank = Lotto_draw.Draw.units (1000. /. float_of_int (rank + 1))
 
 let mean_search ~seed ~draws ~clients order =
   let t = Ll.create ~order () in

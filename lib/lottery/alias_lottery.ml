@@ -1,6 +1,8 @@
 (* Walker/Vose alias-method lottery: O(1) draws from a pair of preallocated
    tables (an acceptance probability and an alias slot per live client),
-   rebuilt lazily in O(n) only when a mutation dirtied them. The rebuild
+   rebuilt lazily in O(n) only when a mutation dirtied them. Weights and
+   the total are exact ints; only the tables are float, and each rebuild
+   derives them afresh from the ints. The rebuild
    scratch (small/large work stacks, scaled weights) is preallocated too,
    so the steady state — quiescent weights, draw after draw — allocates
    nothing. The slot arena mirrors {!Tree_lottery} (LIFO free stack,
@@ -9,17 +11,17 @@
 
 type 'a handle = { mutable slot : int; (* -1 once removed *) c : 'a }
 
-let free_weight = -1.
+let free_weight = -1
 
 type 'a t = {
-  mutable weights : float array; (* per-slot exact weight; free_weight = vacant *)
+  mutable weights : int array; (* per-slot weight; free_weight = vacant *)
   mutable slots : 'a handle array; (* [||] until the first add *)
   mutable capacity : int; (* power of two *)
   mutable used : int; (* high-water mark of allocated slots *)
   mutable free : int array; (* stack of vacated slots *)
   mutable free_top : int;
   mutable size : int;
-  mutable total : float; (* incremental, same accumulation drift as Tree *)
+  mutable total : int;
   (* alias tables over the live positive-weight slots, as dense buckets *)
   mutable prob : float array; (* bucket -> acceptance threshold in [0,1] *)
   mutable alias : int array; (* bucket -> alias *slot* (not bucket) *)
@@ -45,7 +47,7 @@ let create ?(initial_capacity = 16) () =
     free = Array.make cap 0;
     free_top = 0;
     size = 0;
-    total = 0.;
+    total = 0;
     prob = Array.make cap 0.;
     alias = Array.make cap 0;
     bucket_slot = Array.make cap 0;
@@ -56,7 +58,7 @@ let create ?(initial_capacity = 16) () =
     built = true;
   }
 
-let occupied t s = t.weights.(s) >= 0.
+let occupied t s = t.weights.(s) >= 0
 
 let grow t =
   let cap = t.capacity * 2 in
@@ -86,45 +88,8 @@ let push_free t s =
   t.free.(t.free_top) <- s;
   t.free_top <- t.free_top + 1
 
-let add t ~client ~weight =
-  if weight < 0. then invalid_arg "Alias_lottery.add: negative weight";
-  let slot =
-    if t.free_top > 0 then begin
-      t.free_top <- t.free_top - 1;
-      t.free.(t.free_top)
-    end
-    else begin
-      if t.used = t.capacity then grow t;
-      let s = t.used in
-      t.used <- t.used + 1;
-      s
-    end
-  in
-  let h = { slot; c = client } in
-  if Array.length t.slots = 0 then t.slots <- Array.make t.capacity h;
-  t.slots.(slot) <- h;
-  t.weights.(slot) <- weight;
-  t.total <- t.total +. weight;
-  t.size <- t.size + 1;
-  t.built <- false;
-  h
-
-let remove t h =
-  if h.slot >= 0 then begin
-    let s = h.slot in
-    t.total <- t.total -. t.weights.(s);
-    t.weights.(s) <- free_weight;
-    push_free t s;
-    t.size <- t.size - 1;
-    h.slot <- -1;
-    t.built <- false
-  end
-
-(* Re-insert a removed handle without allocating a new one (the migration
-   primitive; see {!Tree_lottery.readd}). *)
-let readd t h ~weight =
-  if weight < 0. then invalid_arg "Alias_lottery.readd: negative weight";
-  if h.slot >= 0 then invalid_arg "Alias_lottery.readd: handle still live";
+(* Place a removed (or fresh) handle into a free slot. *)
+let insert t h weight =
   let slot =
     if t.free_top > 0 then begin
       t.free_top <- t.free_top - 1;
@@ -141,14 +106,38 @@ let readd t h ~weight =
   if Array.length t.slots = 0 then t.slots <- Array.make t.capacity h;
   t.slots.(slot) <- h;
   t.weights.(slot) <- weight;
-  t.total <- t.total +. weight;
+  t.total <- t.total + weight;
   t.size <- t.size + 1;
   t.built <- false
 
+let add t ~client ~weight =
+  if weight < 0 then invalid_arg "Alias_lottery.add: negative weight";
+  let h = { slot = -1; c = client } in
+  insert t h weight;
+  h
+
+let remove t h =
+  if h.slot >= 0 then begin
+    let s = h.slot in
+    t.total <- t.total - t.weights.(s);
+    t.weights.(s) <- free_weight;
+    push_free t s;
+    t.size <- t.size - 1;
+    h.slot <- -1;
+    t.built <- false
+  end
+
+(* Re-insert a removed handle without allocating a new one (the migration
+   primitive; see {!Tree_lottery.readd}). *)
+let readd t h ~weight =
+  if weight < 0 then invalid_arg "Alias_lottery.readd: negative weight";
+  if h.slot >= 0 then invalid_arg "Alias_lottery.readd: handle still live";
+  insert t h weight
+
 let set_weight t h weight =
-  if weight < 0. then invalid_arg "Alias_lottery.set_weight: negative weight";
+  if weight < 0 then invalid_arg "Alias_lottery.set_weight: negative weight";
   if h.slot < 0 then invalid_arg "Alias_lottery.set_weight: removed handle";
-  t.total <- t.total +. (weight -. t.weights.(h.slot));
+  t.total <- t.total + (weight - t.weights.(h.slot));
   t.weights.(h.slot) <- weight;
   t.built <- false
 
@@ -160,18 +149,18 @@ let clear t =
   t.used <- 0;
   t.free_top <- 0;
   t.size <- 0;
-  t.total <- 0.;
+  t.total <- 0;
   t.nbuckets <- 0;
   t.built <- true
 
-let weight t h = if h.slot < 0 then 0. else t.weights.(h.slot)
+let weight t h = if h.slot < 0 then 0 else t.weights.(h.slot)
 let client h = h.c
 let mem t h =
   h.slot >= 0
   && h.slot < Array.length t.slots
-  && t.weights.(h.slot) >= 0.
+  && t.weights.(h.slot) >= 0
   && t.slots.(h.slot) == h
-let total t = max t.total 0.
+let total t = t.total
 let size t = t.size
 
 (* Vose's stable O(n) table construction. Buckets are the live positive
@@ -181,22 +170,19 @@ let size t = t.size
    exactly full modulo float error). *)
 let rebuild t =
   let m = ref 0 in
-  let exact = ref 0. in
   for s = 0 to t.used - 1 do
-    let w = t.weights.(s) in
-    if w > 0. then begin
+    if t.weights.(s) > 0 then begin
       t.bucket_slot.(!m) <- s;
-      exact := !exact +. w;
       incr m
     end
   done;
   let m = !m in
   t.nbuckets <- m;
-  if m > 0 && !exact > 0. then begin
-    let scale = float_of_int m /. !exact in
+  if m > 0 then begin
+    let scale = float_of_int m /. float_of_int t.total in
     let nsmall = ref 0 and nlarge = ref 0 in
     for b = 0 to m - 1 do
-      let p = t.weights.(t.bucket_slot.(b)) *. scale in
+      let p = float_of_int t.weights.(t.bucket_slot.(b)) *. scale in
       t.scaled.(b) <- p;
       if p < 1. then begin
         t.small.(!nsmall) <- b;
@@ -239,20 +225,16 @@ let rebuild t =
   t.built <- true
 
 let draw_slot t rng =
-  if t.total <= 0. then -1
+  if t.total = 0 then -1
   else begin
     if not t.built then rebuild t;
-    if t.nbuckets = 0 then -1
-    else begin
-      let u =
-        float_of_int (Lotto_prng.Rng.bits53 rng) /. float_of_int (1 lsl 53)
-      in
-      let x = u *. float_of_int t.nbuckets in
-      let b = int_of_float x in
-      let b = if b >= t.nbuckets then t.nbuckets - 1 else b in
-      if x -. float_of_int b < t.prob.(b) then t.bucket_slot.(b)
-      else t.alias.(b)
-    end
+    let u =
+      float_of_int (Lotto_prng.Rng.bits53 rng) /. float_of_int (1 lsl 53)
+    in
+    let x = u *. float_of_int t.nbuckets in
+    let b = int_of_float x in
+    let b = if b >= t.nbuckets then t.nbuckets - 1 else b in
+    if x -. float_of_int b < t.prob.(b) then t.bucket_slot.(b) else t.alias.(b)
   end
 
 let client_at t s = t.slots.(s).c
@@ -270,42 +252,28 @@ let draw_client t rng =
    documented O(n) scan — it serves the equivalence tests and replayers,
    not the hot path. *)
 let draw_with_value t ~winning =
-  if winning < 0. then invalid_arg "Alias_lottery.draw_with_value: negative";
-  if t.total <= 0. then None
-  else begin
-    let acc = ref 0. in
-    let found = ref (-1) in
-    let last = ref (-1) in
-    let s = ref 0 in
-    while !found < 0 && !s < t.used do
-      let w = t.weights.(!s) in
-      if w > 0. then begin
-        acc := !acc +. w;
-        last := !s;
-        if !acc > winning then found := !s
-      end;
-      incr s
-    done;
-    let s = if !found >= 0 then !found else !last in
-    if s < 0 then None else Some t.slots.(s)
-  end
+  if winning < 0 then invalid_arg "Alias_lottery.draw_with_value: negative";
+  let acc = ref 0 in
+  let found = ref (-1) in
+  let s = ref 0 in
+  while !found < 0 && !s < t.used do
+    let w = t.weights.(!s) in
+    if w > 0 then begin
+      acc := !acc + w;
+      if !acc > winning then found := !s
+    end;
+    incr s
+  done;
+  if !found < 0 then None else Some t.slots.(!found)
 
 let draw_k t rng ~k out =
-  if t.total <= 0. || k <= 0 then 0
+  if t.total = 0 || k <= 0 then 0
   else begin
-    if not t.built then rebuild t;
     let n = min k (Array.length out) in
-    let i = ref 0 in
-    let live = ref true in
-    while !live && !i < n do
-      let s = draw_slot t rng in
-      if s < 0 then live := false
-      else begin
-        out.(!i) <- t.slots.(s).c;
-        incr i
-      end
+    for i = 0 to n - 1 do
+      out.(i) <- t.slots.(draw_slot t rng).c
     done;
-    !i
+    n
   end
 
 let iter t f =

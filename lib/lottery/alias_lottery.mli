@@ -2,7 +2,9 @@
     compare, at most two array reads — from preallocated probability/alias
     tables rebuilt lazily in O(n) only when a mutation dirtied them. The
     right backend when weights are quiescent between draws (the common case
-    under PR 3's incremental valuation) and client counts are large.
+    under incremental valuation) and client counts are large. Weights are
+    nonnegative ints with an exact int total, as in {!Tree_lottery}; the
+    float tables are derived from them afresh at each rebuild.
 
     Random draws are distribution-exact but do {e not} reproduce
     {!Tree_lottery}'s winner for the same random stream (the alias method
@@ -15,12 +17,12 @@ type 'a t
 type 'a handle
 
 val create : ?initial_capacity:int -> unit -> 'a t
-val add : 'a t -> client:'a -> weight:float -> 'a handle
+val add : 'a t -> client:'a -> weight:int -> 'a handle
 
 val remove : 'a t -> 'a handle -> unit
 (** Idempotent. *)
 
-val readd : 'a t -> 'a handle -> weight:float -> unit
+val readd : 'a t -> 'a handle -> weight:int -> unit
 (** Re-insert a handle previously invalidated by {!remove}, reusing the
     handle record itself (raises [Invalid_argument] if it is still live).
     This is the migration primitive: detaching a client from one structure
@@ -32,11 +34,11 @@ val clear : 'a t -> unit
     allocated capacity for reuse; subsequent adds refill slots from 0 in
     insertion order, exactly like a fresh structure. *)
 
-val set_weight : 'a t -> 'a handle -> float -> unit
-val weight : 'a t -> 'a handle -> float
+val set_weight : 'a t -> 'a handle -> int -> unit
+val weight : 'a t -> 'a handle -> int
 val client : 'a handle -> 'a
 val mem : 'a t -> 'a handle -> bool
-val total : 'a t -> float
+val total : 'a t -> int
 val size : 'a t -> int
 
 val draw : 'a t -> Lotto_prng.Rng.t -> 'a handle option
@@ -57,12 +59,12 @@ val draw_k : 'a t -> Lotto_prng.Rng.t -> k:int -> 'a array -> int
     the total weight is zero). Each draw consumes randomness exactly like
     {!draw}. *)
 
-val draw_with_value : 'a t -> winning:float -> 'a handle option
-(** Deterministic draw for a winning value in [\[0, total)]: the winner is
-    the client covering that value in slot (insertion) order. O(n) — the
-    alias tables answer random draws, not positional ones. *)
+val draw_with_value : 'a t -> winning:int -> 'a handle option
+(** Deterministic draw for a winning value: the client covering that
+    value in slot (insertion) order, [None] when [winning >= total]. O(n)
+    — the alias tables answer random draws, not positional ones. *)
 
 val iter : 'a t -> ('a handle -> unit) -> unit
 (** Slot order (insertion order modulo slot reuse). *)
 
-val to_list : 'a t -> ('a * float) list
+val to_list : 'a t -> ('a * int) list

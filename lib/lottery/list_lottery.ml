@@ -6,15 +6,16 @@ type order = Unordered | Move_to_front | By_weight
    vacated slots recycled through an int-array stack) and the draw order is
    an intrusive doubly-linked list threaded through [prevs]/[nexts], so
    remove and move-to-front are O(1) instead of the historical
-   List.filter. [ws.(s)] doubles as the occupancy flag with a negative
-   sentinel for vacant slots; [hs] is filled lazily with the first handle
-   ever added. Scan order, float accumulation order, and the comparisons
-   counter are unchanged from the list representation. *)
-let free_weight = -1.
+   List.filter. Weights are nonnegative ints, so the running total is
+   exact. [ws.(s)] doubles as the occupancy flag with a negative sentinel
+   for vacant slots; [hs] is filled lazily with the first handle ever
+   added. Scan order and the comparisons counter are unchanged from the
+   list representation. *)
+let free_weight = -1
 
 type 'a t = {
   order : order;
-  mutable ws : float array; (* per-slot weight; free_weight = vacant *)
+  mutable ws : int array; (* per-slot weight; free_weight = vacant *)
   mutable hs : 'a handle array; (* [||] until the first add *)
   mutable prevs : int array; (* draw-order links; -1 = none *)
   mutable nexts : int array;
@@ -24,10 +25,9 @@ type 'a t = {
   mutable used : int; (* high-water mark of allocated slots *)
   mutable free : int array; (* stack of vacated slots *)
   mutable free_top : int;
-  mutable total : float;
+  mutable total : int;
   mutable size : int;
   mutable comparisons : int;
-  mutable mutations : int; (* triggers periodic total recomputation *)
 }
 
 let create ?(move_to_front = true) ?order () =
@@ -48,10 +48,9 @@ let create ?(move_to_front = true) ?order () =
     used = 0;
     free = Array.make 16 0;
     free_top = 0;
-    total = 0.;
+    total = 0;
     size = 0;
     comparisons = 0;
-    mutations = 0;
   }
 
 let grow t =
@@ -117,7 +116,7 @@ let resort t =
     s := t.nexts.(!s)
   done;
   let boxed = Array.to_list slots in
-  let sorted = List.stable_sort (fun a b -> compare t.ws.(b) t.ws.(a)) boxed in
+  let sorted = List.stable_sort (fun a b -> Int.compare t.ws.(b) t.ws.(a)) boxed in
   t.head <- -1;
   t.tail <- -1;
   List.iter
@@ -129,70 +128,49 @@ let resort t =
       t.tail <- s)
     sorted
 
-let refresh_total t =
-  (* Incremental float updates drift; re-sum periodically so long-running
-     simulations keep exact draw bounds. *)
-  t.mutations <- t.mutations + 1;
-  if t.mutations land 4095 = 0 then begin
-    let acc = ref 0. in
-    let s = ref t.head in
-    while !s >= 0 do
-      acc := !acc +. t.ws.(!s);
-      s := t.nexts.(!s)
-    done;
-    t.total <- !acc
-  end
-
-let add t ~client ~weight =
-  if weight < 0. then invalid_arg "List_lottery.add: negative weight";
-  let slot = alloc_slot t in
-  let h = { slot; c = client } in
-  if Array.length t.hs = 0 then t.hs <- Array.make t.capacity h;
-  t.hs.(slot) <- h;
-  t.ws.(slot) <- weight;
-  link_front t slot;
-  t.total <- t.total +. weight;
-  t.size <- t.size + 1;
-  if t.order = By_weight then resort t;
-  refresh_total t;
-  h
-
-let remove t h =
-  if h.slot >= 0 then begin
-    let s = h.slot in
-    unlink t s;
-    t.total <- t.total -. t.ws.(s);
-    t.ws.(s) <- free_weight;
-    push_free t s;
-    t.size <- t.size - 1;
-    h.slot <- -1;
-    refresh_total t
-  end
-
-(* Re-insert a removed handle without allocating a new one: the node is
-   relinked at the front exactly as a fresh {!add} would be (the migration
-   primitive; see {!Tree_lottery.readd}). *)
-let readd t h ~weight =
-  if weight < 0. then invalid_arg "List_lottery.readd: negative weight";
-  if h.slot >= 0 then invalid_arg "List_lottery.readd: handle still live";
+(* Link a removed (or fresh) handle in at the front. *)
+let insert t h weight =
   let slot = alloc_slot t in
   h.slot <- slot;
   if Array.length t.hs = 0 then t.hs <- Array.make t.capacity h;
   t.hs.(slot) <- h;
   t.ws.(slot) <- weight;
   link_front t slot;
-  t.total <- t.total +. weight;
+  t.total <- t.total + weight;
   t.size <- t.size + 1;
-  if t.order = By_weight then resort t;
-  refresh_total t
+  if t.order = By_weight then resort t
+
+let add t ~client ~weight =
+  if weight < 0 then invalid_arg "List_lottery.add: negative weight";
+  let h = { slot = -1; c = client } in
+  insert t h weight;
+  h
+
+let remove t h =
+  if h.slot >= 0 then begin
+    let s = h.slot in
+    unlink t s;
+    t.total <- t.total - t.ws.(s);
+    t.ws.(s) <- free_weight;
+    push_free t s;
+    t.size <- t.size - 1;
+    h.slot <- -1
+  end
+
+(* Re-insert a removed handle without allocating a new one: the node is
+   relinked at the front exactly as a fresh {!add} would be (the migration
+   primitive; see {!Tree_lottery.readd}). *)
+let readd t h ~weight =
+  if weight < 0 then invalid_arg "List_lottery.readd: negative weight";
+  if h.slot >= 0 then invalid_arg "List_lottery.readd: handle still live";
+  insert t h weight
 
 let set_weight t h weight =
-  if weight < 0. then invalid_arg "List_lottery.set_weight: negative weight";
+  if weight < 0 then invalid_arg "List_lottery.set_weight: negative weight";
   if h.slot < 0 then invalid_arg "List_lottery.set_weight: removed handle";
-  t.total <- t.total -. t.ws.(h.slot) +. weight;
+  t.total <- t.total - t.ws.(h.slot) + weight;
   t.ws.(h.slot) <- weight;
-  if t.order = By_weight then resort t;
-  refresh_total t
+  if t.order = By_weight then resort t
 
 let clear t =
   let s = ref t.head in
@@ -208,17 +186,17 @@ let clear t =
   t.tail <- -1;
   t.used <- 0;
   t.free_top <- 0;
-  t.total <- 0.;
+  t.total <- 0;
   t.size <- 0
 
-let weight t h = if h.slot < 0 then 0. else t.ws.(h.slot)
+let weight t h = if h.slot < 0 then 0 else t.ws.(h.slot)
 let client h = h.c
 let mem t h =
   h.slot >= 0
   && h.slot < Array.length t.hs
-  && t.ws.(h.slot) >= 0.
+  && t.ws.(h.slot) >= 0
   && t.hs.(h.slot) == h
-let total t = max t.total 0.
+let total t = t.total
 let size t = t.size
 
 let move_to_front t s =
@@ -227,32 +205,23 @@ let move_to_front t s =
     link_front t s
   end
 
-(* [@inline] (here and on [slot_for_value]) keeps the freshly computed
-   winning value in a register on the draw path: a non-inlined call would
-   box the float argument. *)
-let[@inline] scan t winning =
-  (* Accumulate the running ticket sum until it exceeds the winning value
-     (Figure 1). Float drift can leave [winning] beyond the actual sum; the
-     last positive-weight entry wins in that case. *)
-  let acc = ref 0. in
-  let last = ref (-1) in
+(* Accumulate the running ticket sum until it exceeds the winning value
+   (Figure 1); -1 when the value is not below the total. *)
+let scan t winning =
+  let acc = ref 0 in
   let s = ref t.head in
   let found = ref (-1) in
   while !found < 0 && !s >= 0 do
     t.comparisons <- t.comparisons + 1;
-    let w = t.ws.(!s) in
-    acc := !acc +. w;
-    if w > 0. then begin
-      last := !s;
-      if !acc > winning then found := !s
-    end;
+    acc := !acc + t.ws.(!s);
+    if !acc > winning then found := !s;
     s := t.nexts.(!s)
   done;
-  if !found >= 0 then !found else !last
+  !found
 
 (* Winner's slot for a winning value, applying the structure's reordering;
    -1 when nothing can win. *)
-let[@inline] slot_for_value t winning =
+let slot_for_value t winning =
   match scan t winning with
   | -1 -> -1
   | s ->
@@ -260,17 +229,12 @@ let[@inline] slot_for_value t winning =
       s
 
 let draw_with_value t ~winning =
-  if winning < 0. then invalid_arg "List_lottery.draw_with_value: negative";
+  if winning < 0 then invalid_arg "List_lottery.draw_with_value: negative";
   match slot_for_value t winning with -1 -> None | s -> Some t.hs.(s)
 
 let draw_slot t rng =
-  if t.total <= 0. then -1
-  else begin
-    let u =
-      float_of_int (Lotto_prng.Rng.bits53 rng) /. float_of_int (1 lsl 53)
-    in
-    slot_for_value t (u *. t.total)
-  end
+  if t.total = 0 then -1
+  else slot_for_value t (Lotto_prng.Rng.int_below rng t.total)
 
 let client_at t s = t.hs.(s).c
 
@@ -283,20 +247,13 @@ let draw_client t rng =
   if s < 0 then None else Some t.hs.(s).c
 
 let draw_k t rng ~k out =
-  if t.total <= 0. || k <= 0 then 0
+  if t.total = 0 || k <= 0 then 0
   else begin
     let n = min k (Array.length out) in
-    let i = ref 0 in
-    let live = ref true in
-    while !live && !i < n do
-      let s = draw_slot t rng in
-      if s < 0 then live := false
-      else begin
-        out.(!i) <- t.hs.(s).c;
-        incr i
-      end
+    for i = 0 to n - 1 do
+      out.(i) <- t.hs.(draw_slot t rng).c
     done;
-    !i
+    n
   end
 
 let iter t f =

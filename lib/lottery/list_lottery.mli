@@ -21,13 +21,15 @@ val create : ?move_to_front:bool -> ?order:order -> unit -> 'a t
     maps [false] to [Unordered] and is overridden by [order] when both are
     given. *)
 
-val add : 'a t -> client:'a -> weight:float -> 'a handle
-(** Weights must be nonnegative; zero-weight clients never win. *)
+val add : 'a t -> client:'a -> weight:int -> 'a handle
+(** Weights are nonnegative ints (ticket counts, or {!Draw.units});
+    zero-weight clients never win. The total is an exact int sum and must
+    stay below [2^61]. *)
 
 val remove : 'a t -> 'a handle -> unit
 (** Idempotent. *)
 
-val readd : 'a t -> 'a handle -> weight:float -> unit
+val readd : 'a t -> 'a handle -> weight:int -> unit
 (** Re-insert a handle previously invalidated by {!remove}, reusing the
     handle record itself (raises [Invalid_argument] if it is still live).
     This is the migration primitive: detaching a client from one structure
@@ -38,11 +40,11 @@ val clear : 'a t -> unit
 (** Remove every client at once (invalidating their handles), leaving an
     empty structure ready for reuse — O(n), vs O(n²) repeated {!remove}. *)
 
-val set_weight : 'a t -> 'a handle -> float -> unit
-val weight : 'a t -> 'a handle -> float
+val set_weight : 'a t -> 'a handle -> int -> unit
+val weight : 'a t -> 'a handle -> int
 val client : 'a handle -> 'a
 val mem : 'a t -> 'a handle -> bool
-val total : 'a t -> float
+val total : 'a t -> int
 val size : 'a t -> int
 
 val draw : 'a t -> Lotto_prng.Rng.t -> 'a handle option
@@ -59,7 +61,7 @@ val draw_slot : 'a t -> Lotto_prng.Rng.t -> int
 val client_at : 'a t -> int -> 'a
 (** Resolve a slot returned by {!draw_slot}. *)
 
-val slot_for_value : 'a t -> float -> int
+val slot_for_value : 'a t -> int -> int
 (** Winner's slot for a deterministic winning value (applying the
     structure's reordering, like {!draw_with_value}); [-1] when nothing
     can win. *)
@@ -69,14 +71,14 @@ val draw_k : 'a t -> Lotto_prng.Rng.t -> k:int -> 'a array -> int
     lotteries (each applying move-to-front like {!draw}) and writes the
     winners into [out.(0..r-1)], returning [r]. *)
 
-val draw_with_value : 'a t -> winning:float -> 'a handle option
-(** Deterministic draw for a given winning value in [\[0, total)];
-    used by tests to replay Figure 1 exactly. *)
+val draw_with_value : 'a t -> winning:int -> 'a handle option
+(** Deterministic draw for a given winning value: [None] when
+    [winning >= total]. Used by tests to replay Figure 1 exactly. *)
 
 val iter : 'a t -> ('a handle -> unit) -> unit
 (** Front-to-back order (reflects move-to-front history). *)
 
-val to_list : 'a t -> ('a * float) list
+val to_list : 'a t -> ('a * int) list
 
 val comparisons : 'a t -> int
 (** Total list entries examined by all draws so far — the paper's "average

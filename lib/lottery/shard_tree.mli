@@ -8,7 +8,9 @@
     [Lotto_sched.Lottery_sched] runs (one shard per virtual CPU, tested in
     [test/test_smp.ml]): the scheduler picks a steal source
     ticket-weighted, finds the least-loaded shard for placement, and reads
-    the global mass — all O(log shards) or O(shards) and allocation-free. *)
+    the global mass — all O(log shards) or O(shards) and allocation-free.
+    Masses are int ticket units ({!Draw.units}), so every partial sum is
+    exact. *)
 
 type t
 
@@ -17,24 +19,27 @@ val create : shards:int -> t
 
 val shards : t -> int
 
-val set : t -> int -> float -> unit
-(** [set t i mass] writes shard [i]'s absolute mass, bubbling the delta to
-    the root; a no-op when the value is unchanged. *)
+val set : t -> int -> int -> unit
+(** [set t i mass] writes shard [i]'s absolute mass (in {!Draw.units}),
+    bubbling the difference to the root. Raises [Invalid_argument] on a
+    negative mass. *)
 
-val adjust : t -> int -> float array -> unit
-(** [adjust t i cell] adds [cell.(0)] to shard [i]'s mass, clamping the
-    result at zero: the sums [set t i (max 0. (get t i +. cell.(0)))]
-    leaves, bit for bit. The delta travels in a float cell so that a hot
-    caller passes it without allocating a boxed float. *)
+val adjust : t -> int -> int -> unit
+(** [adjust t i delta] adds [delta] to shard [i]'s mass. Raises
+    [Invalid_argument] when the mass would go negative: masses are exact,
+    so that can only be a caller's bookkeeping bug. *)
 
-val get : t -> int -> float
+val get : t -> int -> int
 
-val total : t -> float
+val total : t -> int
+(** Exactly the sum of the leaves. *)
 
-val pick : t -> u:float -> int
-(** Ticket-weighted shard pick for a uniform deviate [u] in [0, 1): the
-    shard covering [u * total] in the partial-sum descent, or [-1] when no
-    shard holds mass. Zero-mass shards never win. *)
+val pick : t -> winning:int -> int
+(** Ticket-weighted shard pick: the shard covering the winning value in
+    [\[0, total)] in shard order (draw it with
+    [Lotto_prng.Rng.int_below rng (total t)]), or [-1] when [winning >=
+    total] — in particular when no shard holds mass. Zero-mass shards
+    never win. Raises [Invalid_argument] on a negative value. *)
 
 val min_shard : t -> int
 (** Least-loaded shard, lowest id on ties — the deterministic

@@ -1,15 +1,16 @@
 type 'a handle = { mutable slot : int; (* -1 once removed *) c : 'a }
 
-(* Slots are unboxed: [weights.(s)] doubles as the occupancy flag with a
+(* Weights are nonnegative ints, so every partial sum is exact. Slots are
+   unboxed: [weights.(s)] doubles as the occupancy flag with a
    [free_weight] sentinel for vacant slots, and [slots] is a plain handle
    array (filled lazily with the first handle ever added, then overwritten
    slot by slot). The free list is an int-array stack, so add/remove churn
    allocates nothing beyond the handle record itself. *)
-let free_weight = -1.
+let free_weight = -1
 
 type 'a t = {
-  mutable tree : float array; (* 1-based Fenwick array of partial sums *)
-  mutable weights : float array; (* per-slot exact weight; free_weight = vacant *)
+  mutable tree : int array; (* 1-based Fenwick array of partial sums *)
+  mutable weights : int array; (* per-slot weight; free_weight = vacant *)
   mutable slots : 'a handle array; (* [||] until the first add *)
   mutable capacity : int; (* power of two *)
   mutable used : int; (* high-water mark of allocated slots *)
@@ -19,13 +20,8 @@ type 'a t = {
 }
 
 (* The total lives in the Fenwick root: [capacity] is always a power of
-   two, so node [capacity] covers the whole range [1..capacity] and
-   receives exactly the same [+. delta] sequence a separate accumulator
-   would — without the boxed-float store a [mutable total : float] field
-   in this mixed record costs on every update. Keeping the hot remove/
-   readd/set_weight path allocation-free is what lets a sharded scheduler
-   dequeue-on-dispatch every quantum. *)
-let[@inline] raw_total t = t.tree.(t.capacity)
+   two, so node [capacity] covers the whole range [1..capacity]. *)
+let total t = t.tree.(t.capacity)
 
 let create ?(initial_capacity = 16) () =
   let cap = max 2 initial_capacity in
@@ -35,7 +31,7 @@ let create ?(initial_capacity = 16) () =
     up 2
   in
   {
-    tree = Array.make (cap + 1) 0.;
+    tree = Array.make (cap + 1) 0;
     weights = Array.make cap free_weight;
     slots = [||];
     capacity = cap;
@@ -45,27 +41,20 @@ let create ?(initial_capacity = 16) () =
     size = 0;
   }
 
-let occupied t s = t.weights.(s) >= 0.
+let occupied t s = t.weights.(s) >= 0
 
 let bump t slot delta =
   (* Standard Fenwick point update: add delta to slot (0-based) upward. *)
   let i = ref (slot + 1) in
   while !i <= t.capacity do
-    t.tree.(!i) <- t.tree.(!i) +. delta;
+    t.tree.(!i) <- t.tree.(!i) + delta;
     i := !i + (!i land - !i)
   done
 
 let rebuild t =
-  Array.fill t.tree 0 (t.capacity + 1) 0.;
+  Array.fill t.tree 0 (t.capacity + 1) 0;
   for s = 0 to t.used - 1 do
-    if t.weights.(s) > 0. then begin
-      let w = t.weights.(s) in
-      let i = ref (s + 1) in
-      while !i <= t.capacity do
-        t.tree.(!i) <- t.tree.(!i) +. w;
-        i := !i + (!i land - !i)
-      done
-    end
+    if t.weights.(s) > 0 then bump t s t.weights.(s)
   done
 
 let grow t =
@@ -79,7 +68,7 @@ let grow t =
   end;
   t.weights <- weights;
   t.capacity <- cap;
-  t.tree <- Array.make (cap + 1) 0.;
+  t.tree <- Array.make (cap + 1) 0;
   rebuild t
 
 let push_free t s =
@@ -91,45 +80,8 @@ let push_free t s =
   t.free.(t.free_top) <- s;
   t.free_top <- t.free_top + 1
 
-let add t ~client ~weight =
-  if weight < 0. then invalid_arg "Tree_lottery.add: negative weight";
-  let slot =
-    if t.free_top > 0 then begin
-      t.free_top <- t.free_top - 1;
-      t.free.(t.free_top)
-    end
-    else begin
-      if t.used = t.capacity then grow t;
-      let s = t.used in
-      t.used <- t.used + 1;
-      s
-    end
-  in
-  let h = { slot; c = client } in
-  if Array.length t.slots = 0 then t.slots <- Array.make t.capacity h;
-  t.slots.(slot) <- h;
-  t.weights.(slot) <- weight;
-  bump t slot weight;
-  t.size <- t.size + 1;
-  h
-
-let remove t h =
-  if h.slot >= 0 then begin
-    let s = h.slot in
-    bump t s (-.t.weights.(s));
-    t.weights.(s) <- free_weight;
-    push_free t s;
-    t.size <- t.size - 1;
-    h.slot <- -1
-  end
-
-(* Re-insert a removed handle without allocating a new one: the migration
-   primitive. The handle record is reused in place, so callers holding
-   [Some h] boxes keep them valid across a remove/readd pair — a migration
-   between two structures costs zero minor words in the steady state. *)
-let readd t h ~weight =
-  if weight < 0. then invalid_arg "Tree_lottery.readd: negative weight";
-  if h.slot >= 0 then invalid_arg "Tree_lottery.readd: handle still live";
+(* Place a removed (or fresh) handle into a free slot. *)
+let insert t h weight =
   let slot =
     if t.free_top > 0 then begin
       t.free_top <- t.free_top - 1;
@@ -149,10 +101,35 @@ let readd t h ~weight =
   bump t slot weight;
   t.size <- t.size + 1
 
+let add t ~client ~weight =
+  if weight < 0 then invalid_arg "Tree_lottery.add: negative weight";
+  let h = { slot = -1; c = client } in
+  insert t h weight;
+  h
+
+let remove t h =
+  if h.slot >= 0 then begin
+    let s = h.slot in
+    bump t s (-t.weights.(s));
+    t.weights.(s) <- free_weight;
+    push_free t s;
+    t.size <- t.size - 1;
+    h.slot <- -1
+  end
+
+(* Re-insert a removed handle without allocating a new one: the migration
+   primitive. The handle record is reused in place, so callers holding
+   [Some h] boxes keep them valid across a remove/readd pair — a migration
+   between two structures costs zero minor words in the steady state. *)
+let readd t h ~weight =
+  if weight < 0 then invalid_arg "Tree_lottery.readd: negative weight";
+  if h.slot >= 0 then invalid_arg "Tree_lottery.readd: handle still live";
+  insert t h weight
+
 let set_weight t h weight =
-  if weight < 0. then invalid_arg "Tree_lottery.set_weight: negative weight";
+  if weight < 0 then invalid_arg "Tree_lottery.set_weight: negative weight";
   if h.slot < 0 then invalid_arg "Tree_lottery.set_weight: removed handle";
-  bump t h.slot (weight -. t.weights.(h.slot));
+  bump t h.slot (weight - t.weights.(h.slot));
   t.weights.(h.slot) <- weight
 
 let clear t =
@@ -160,67 +137,44 @@ let clear t =
     if occupied t s then t.slots.(s).slot <- -1;
     t.weights.(s) <- free_weight
   done;
-  Array.fill t.tree 0 (t.capacity + 1) 0.;
+  Array.fill t.tree 0 (t.capacity + 1) 0;
   t.used <- 0;
   t.free_top <- 0;
   t.size <- 0
 
-let weight t h = if h.slot < 0 then 0. else t.weights.(h.slot)
+let weight t h = if h.slot < 0 then 0 else t.weights.(h.slot)
 let client h = h.c
 let mem t h =
   h.slot >= 0
   && h.slot < Array.length t.slots
-  && t.weights.(h.slot) >= 0.
+  && t.weights.(h.slot) >= 0
   && t.slots.(h.slot) == h
-let total t = max (raw_total t) 0.
 let size t = t.size
 
-let[@inline] descend t winning =
-  (* Fenwick tree search: find the lowest slot whose prefix sum exceeds the
-     winning value. *)
+(* Fenwick tree search: the lowest slot whose prefix sum exceeds the
+   winning value. For a winning value in [0, total) that slot holds a
+   positive weight. *)
+let descend t winning =
   let pos = ref 0 in
   let rest = ref winning in
   let step = ref t.capacity in
   while !step > 0 do
     let next = !pos + !step in
     if next <= t.capacity && t.tree.(next) <= !rest then begin
-      rest := !rest -. t.tree.(next);
+      rest := !rest - t.tree.(next);
       pos := next
     end;
     step := !step / 2
   done;
   !pos (* 0-based slot of the winner *)
 
-let last_live_slot t =
-  let found = ref (-1) in
-  for s = 0 to t.used - 1 do
-    if t.weights.(s) > 0. then found := s
-  done;
-  !found
-
-(* [@inline] keeps the freshly computed winning value in a register on the
-   draw path: a non-inlined call would box the float argument. *)
-let[@inline] slot_for_value t winning =
-  let s = descend t winning in
-  if s < t.capacity && t.weights.(s) > 0. then s
-  else
-    (* float drift pushed the winning value past the true total *)
-    last_live_slot t
-
 let draw_with_value t ~winning =
-  if winning < 0. then invalid_arg "Tree_lottery.draw_with_value: negative";
-  if raw_total t <= 0. then None
-  else
-    match slot_for_value t winning with -1 -> None | s -> Some t.slots.(s)
+  if winning < 0 then invalid_arg "Tree_lottery.draw_with_value: negative";
+  if winning >= total t then None else Some t.slots.(descend t winning)
 
 let draw_slot t rng =
-  if raw_total t <= 0. then -1
-  else begin
-    let u =
-      float_of_int (Lotto_prng.Rng.bits53 rng) /. float_of_int (1 lsl 53)
-    in
-    slot_for_value t (u *. raw_total t)
-  end
+  let tot = total t in
+  if tot = 0 then -1 else descend t (Lotto_prng.Rng.int_below rng tot)
 
 let client_at t s = t.slots.(s).c
 
@@ -233,20 +187,13 @@ let draw_client t rng =
   if s < 0 then None else Some t.slots.(s).c
 
 let draw_k t rng ~k out =
-  if raw_total t <= 0. || k <= 0 then 0
+  if total t = 0 || k <= 0 then 0
   else begin
     let n = min k (Array.length out) in
-    let i = ref 0 in
-    let live = ref true in
-    while !live && !i < n do
-      let s = draw_slot t rng in
-      if s < 0 then live := false
-      else begin
-        out.(!i) <- t.slots.(s).c;
-        incr i
-      end
+    for i = 0 to n - 1 do
+      out.(i) <- t.slots.(draw_slot t rng).c
     done;
-    !i
+    n
   end
 
 let iter t f =

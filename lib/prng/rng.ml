@@ -49,44 +49,14 @@ let raw t =
 let raw_range t =
   match t.impl with Pm _ -> Park_miller.modulus - 1 | Sm _ | Xo _ -> range61
 
+(* Rejection sampling on the largest multiple of [n] below the draw range,
+   as a closure-free loop: the lottery draws one winning ticket per
+   decision through here, so a draw allocates nothing (with Park–Miller;
+   the 64-bit generators box an Int64 per raw draw). Ranges beyond a
+   single Park–Miller draw compose two draws; range^2 <= 2^62 still fits
+   in a native int. *)
 let int_below t n =
   if n <= 0 then invalid_arg "Rng.int_below: n <= 0";
-  let range = raw_range t in
-  if n <= range then begin
-    (* Rejection sampling on the largest multiple of n below range. *)
-    let limit = range - (range mod n) in
-    let rec draw () =
-      let r = raw t in
-      if r < limit then r mod n else draw ()
-    in
-    draw ()
-  end
-  else if range <= 0x80000000 then begin
-    (* Compose two draws; range^2 <= 2^62 still fits in a native int. *)
-    let big = range * range in
-    if n > big then invalid_arg "Rng.int_below: n exceeds generator range";
-    let limit = big - (big mod n) in
-    let rec draw () =
-      let r = (raw t * range) + raw t in
-      if r < limit then r mod n else draw ()
-    in
-    draw ()
-  end
-  else invalid_arg "Rng.int_below: n exceeds generator range"
-
-let int_in t ~lo ~hi =
-  if hi < lo then invalid_arg "Rng.int_in: hi < lo";
-  lo + int_below t (hi - lo + 1)
-
-(* [int_below t (1 lsl 53)] specialized to a closure-free loop: the draw
-   hot paths turn the result into a float locally, so a draw allocates
-   nothing (with Park–Miller; the 64-bit generators box an Int64 per raw
-   draw). Consumes the stream exactly like the general path — 2^53 exceeds
-   Park–Miller's single-draw range, so two draws are composed there; the
-   61-bit generators use a single draw — keeping every seeded run
-   bit-for-bit identical to the historical [int_below]-based definition. *)
-let bits53 t =
-  let n = 1 lsl 53 in
   let range = raw_range t in
   if n <= range then begin
     let limit = range - (range mod n) in
@@ -96,8 +66,9 @@ let bits53 t =
     done;
     !r mod n
   end
-  else begin
+  else if range <= 0x80000000 then begin
     let big = range * range in
+    if n > big then invalid_arg "Rng.int_below: n exceeds generator range";
     let limit = big - (big mod n) in
     let r = ref ((raw t * range) + raw t) in
     while !r >= limit do
@@ -105,6 +76,13 @@ let bits53 t =
     done;
     !r mod n
   end
+  else invalid_arg "Rng.int_below: n exceeds generator range"
+
+let int_in t ~lo ~hi =
+  if hi < lo then invalid_arg "Rng.int_in: hi < lo";
+  lo + int_below t (hi - lo + 1)
+
+let bits53 t = int_below t (1 lsl 53)
 
 let float_unit t = float_of_int (bits53 t) /. float_of_int (1 lsl 53)
 

@@ -26,17 +26,17 @@ val raw : t -> int
 val raw_range : t -> int
 
 val int_below : t -> int -> int
-(** [int_below t n] is uniform on [\[0, n)], unbiased (rejection sampling).
-    Raises [Invalid_argument] if [n <= 0] or [n] exceeds the generator's
+(** [int_below t n] is uniform on [\[0, n)], unbiased (rejection sampling),
+    and allocates nothing with the default Park–Miller generator. Every
+    [n] up to [2^61] is accepted by each generator. Raises
+    [Invalid_argument] if [n <= 0] or [n] exceeds the generator's
     composable range. *)
 
 val int_in : t -> lo:int -> hi:int -> int
 (** Uniform on [\[lo, hi\]] inclusive. *)
 
 val bits53 : t -> int
-(** Uniform on [\[0, 2^53)]: exactly [int_below t (1 lsl 53)], but
-    closure-free so draw hot paths that turn it into a float locally
-    allocate nothing (with the default Park–Miller generator). *)
+(** Uniform on [\[0, 2^53)]: [int_below t (1 lsl 53)]. *)
 
 val float_unit : t -> float
 (** Uniform on [\[0, 1)] with 53 bits of precision where the generator

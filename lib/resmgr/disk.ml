@@ -82,7 +82,7 @@ let create ?(policy = Lottery) ?(cylinders = 1000) ?(seek_cost = 10)
 let policy t = t.pol
 let events t = t.bus
 
-let weight_of c = if c.queue <> [] then c.value else 0.
+let weight_of c = if c.queue <> [] then Draw.units c.value else 0
 
 (* A weight dropping to zero (a queue draining) does NOT bump [wgen]:
    batched slots are independent draws, so skipping a dead entry at
@@ -96,7 +96,7 @@ let update_weight t c =
   | Some h ->
       let w = weight_of c in
       Draw.set_weight t.draw h w;
-      if w > 0. then t.wgen <- t.wgen + 1
+      if w > 0 then t.wgen <- t.wgen + 1
   | None -> ()
 
 let register t c =
@@ -229,7 +229,7 @@ let publish_draw t c =
            who = Obs.Event.actor_of ~tid:c.id ~tname:c.name;
            resource = "disk";
            contenders = t.backlogged_count;
-           total_weight = Draw.total t.draw;
+           total_weight = Draw.tickets (Draw.total t.draw);
          })
 
 (* Batched refill: pre-draw up to [batch_k] winners in one {!Draw.draw_k}
@@ -252,7 +252,7 @@ let refill_batch t =
 let batch_winner t =
   if t.batch_gen <> t.wgen then t.batch_pos <- t.batch_len (* discard *);
   while
-    t.batch_pos < t.batch_len && weight_of t.batch.(t.batch_pos) <= 0.
+    t.batch_pos < t.batch_len && weight_of t.batch.(t.batch_pos) <= 0
   do
     t.batch_pos <- t.batch_pos + 1
   done;

@@ -79,7 +79,7 @@ let weight_of t c =
 
 let update_weight t c =
   match c.handle with
-  | Some h -> Draw.set_weight t.draw h (weight_of t c)
+  | Some h -> Draw.set_weight t.draw h (Draw.units (weight_of t c))
   | None -> ()
 
 (* Funded values are revalued per dirtied currency (scoped change events),
@@ -112,7 +112,7 @@ let refresh t =
   end
 
 let register t c =
-  c.handle <- Some (Draw.add t.draw ~client:c ~weight:0.);
+  c.handle <- Some (Draw.add t.draw ~client:c ~weight:0);
   t.clients <- c :: t.clients;
   t.wdirty <- true
 
@@ -226,7 +226,7 @@ let publish_draw t c =
            who = Obs.Event.actor_of ~tid:c.id ~tname:c.name;
            resource = "memory";
            contenders = holders;
-           total_weight = Draw.total t.draw;
+           total_weight = Draw.tickets (Draw.total t.draw);
          })
   end
 

@@ -50,7 +50,7 @@ let events t = t.bus
 let funding_tracker t = t.ftrack
 
 (* A client competes only while backlogged; idle shares redistribute. *)
-let weight_of c = if c.pending > 0 then c.value else 0.
+let weight_of c = if c.pending > 0 then Draw.units c.value else 0
 
 let update_weight t c =
   match c.handle with
@@ -168,7 +168,7 @@ let publish_draw t c =
            who = Obs.Event.actor_of ~tid:c.id ~tname:c.name;
            resource = "io";
            contenders = t.backlogged;
-           total_weight = Draw.total t.draw;
+           total_weight = Draw.tickets (Draw.total t.draw);
          })
 
 (* All backlogged clients are unfunded: serve FIFO by creation order

@@ -54,7 +54,7 @@ let create ?(ports = 4) ?(buffer_capacity = 64) ?(backend = Draw.List) ?funding
 
 let events t = t.bus
 
-let weight_of c = if Queue.is_empty c.buffer then 0. else c.value
+let weight_of c = if Queue.is_empty c.buffer then 0 else Draw.units c.value
 
 let update_weight t c =
   match c.handle with
@@ -186,7 +186,7 @@ let publish_draw t c =
            who = Obs.Event.actor_of ~tid:c.id ~tname:c.name;
            resource = Printf.sprintf "switch:p%d" c.port;
            contenders = t.buffered_per_port.(c.port);
-           total_weight = Draw.total t.draws.(c.port);
+           total_weight = Draw.tickets (Draw.total t.draws.(c.port));
          })
 
 let transmit_port t port =

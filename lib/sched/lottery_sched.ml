@@ -4,12 +4,11 @@ module D = Lotto_draw.Draw
 module Sh = Lotto_draw.Shard_tree
 module Rng = Lotto_prng.Rng
 
-type mode = List_mode | Tree_mode | Cumul_mode | Alias_mode
+type mode = List_mode | Tree_mode | Alias_mode
 
 let draw_mode = function
   | List_mode -> D.List
   | Tree_mode -> D.Tree
-  | Cumul_mode -> D.Cumul
   | Alias_mode -> D.Alias
 
 (* Face amount of every thread's competing ticket. The value is arbitrary:
@@ -37,11 +36,10 @@ type tstate = {
          runnable *and* dispatched (on-CPU) threads, false while blocked —
          so a running thread still attracts rebalancing pressure to its
          shard but can never itself be drawn, stolen or migrated *)
-  mutable wlast : float;
-      (* the last weight written to a shard draw. A weight change boxes it
-         once, and that box is what every draw call is handed — the write
-         itself, a re-insert, a migration — so re-inserting an unchanged
-         weight allocates nothing *)
+  mutable wlast : int;
+      (* the last weight written to a shard draw, in {!D.units}: what every
+         draw call is handed — the write itself, a re-insert, a
+         migration — and what the shard tree counts *)
 }
 
 (* Per-thread and per-currency state lives in arrays indexed by the dense
@@ -57,16 +55,11 @@ type t = {
   system : F.system;
   mutable st_tab : tstate option array; (* by thread slot *)
   mutable by_cslot : tstate option array; (* by thread-currency slot *)
-  mutable wcache : float array; (* by thread slot: currency value behind
-                                   the last weight written to the draw *)
-  mutable ccache : float array; (* by thread slot: compensation factor
-                                   behind the last weight written. The two
-                                   inputs are cached separately so
-                                   [account] can compare each against an
-                                   existing box (the funding cache, the
-                                   thread's compensate field) — comparing
-                                   the recomputed product would box the
-                                   fresh float on every decision *)
+  mutable vcache : float array;
+      (* by thread slot: the unquantized value behind the last weight
+         written to the draw (NaN before the first write). A float array
+         holds it unboxed, so comparing a fresh value against it
+         allocates nothing *)
   mutable pending : int array;
       (* thread currencies dirtied since the last flush, in first-dirtied
          order, as (currency slot, slot generation) pairs: the generation
@@ -79,8 +72,6 @@ type t = {
   sdraws : tstate D.t array; (* one draw structure per virtual CPU *)
   srings : tstate Queue.t array; (* per-shard fallback rings *)
   stree : Sh.t; (* partial-sum tree over per-shard ticket masses *)
-  dcell : float array;
-      (* one-cell buffer carrying a mass delta into {!Sh.adjust} unboxed *)
   imbalance_band : float; (* rebalance trigger, as a fraction of total/N *)
   mutable migration_enabled : bool;
   mutable placement_hook : (thread -> int) option;
@@ -113,7 +104,7 @@ let ensure_capf arr n =
   let len = Array.length arr in
   if n < len then arr
   else begin
-    let a = Array.make (max 16 (max (n + 1) (2 * len))) 0. in
+    let a = Array.make (max 16 (max (n + 1) (2 * len))) nan in
     Array.blit arr 0 a 0 len;
     a
   end
@@ -163,8 +154,7 @@ let create ?(mode = List_mode) ?(quantum_fallback = true)
       system = F.create_system ();
       st_tab = [||];
       by_cslot = [||];
-      wcache = [||];
-      ccache = [||];
+      vcache = [||];
       pending = Array.make 32 0;
       pending_n = 0;
       scratch = D.of_mode (draw_mode mode);
@@ -172,7 +162,6 @@ let create ?(mode = List_mode) ?(quantum_fallback = true)
       sdraws = Array.init shards (fun _ -> D.of_mode (draw_mode mode));
       srings = Array.init shards (fun _ -> Queue.create ());
       stree = Sh.create ~shards;
-      dcell = [| 0. |];
       imbalance_band;
       migration_enabled = true;
       placement_hook = None;
@@ -223,12 +212,11 @@ let state t th =
           shard = -1;
           in_draw = false;
           counted = false;
-          wlast = 0.;
+          wlast = 0;
         }
       in
       t.st_tab <- ensure_cap t.st_tab th.tslot;
-      t.wcache <- ensure_capf t.wcache th.tslot;
-      t.ccache <- ensure_capf t.ccache th.tslot;
+      t.vcache <- ensure_capf t.vcache th.tslot;
       (* one option box serves both tables *)
       let o = Some s in
       t.st_tab.(th.tslot) <- o;
@@ -245,7 +233,7 @@ let thread_currency t th = (state t th).cur
    graph. *)
 let[@inline] factor t (s : tstate) =
   if t.use_compensation then s.th.compensate else 1.
-let value_of t s = F.currency_value t.system s.cur *. factor t s
+let[@inline] value_of t s = F.currency_value t.system s.cur *. factor t s
 let thread_value t th = value_of t (state t th)
 
 (* --- per-CPU shards: mass accounting, migration, stealing -------------- *)
@@ -257,26 +245,19 @@ let thread_value t th = value_of t (state t th)
    occupancy keeps the steady-state quantum cycle (dispatch dequeue +
    account re-enqueue) entirely off the tree: only block/wake, funding
    changes and migrations touch it. *)
-let[@inline] adjust_mass t i delta =
-  t.dcell.(0) <- delta;
-  Sh.adjust t.stree i t.dcell
 
-(* Compare the thread's weight inputs against those of its last write.
-   When either changed, recompute the weight into [wlast] (moving the
-   shard mass by the difference if the thread is counted) and return
-   [true]; when nothing changed the weight could not have either, and the
-   quiescent path computes no fresh float at all — each input is compared
-   against an existing box (the funding valuation cache, the thread's
-   compensate field). *)
+(* Compare the thread's value against the one behind its last write. When
+   it changed, quantize it into [wlast] (moving the shard mass by the
+   difference if the thread is counted) and return [true]. The quiescent
+   path compares one unboxed float and calls nothing: handing the fresh
+   value to {!D.units} would box it. *)
 let revalue t s =
   let slot = s.th.tslot in
-  let cv = F.currency_value t.system s.cur in
-  let f = factor t s in
-  if cv <> t.wcache.(slot) || f <> t.ccache.(slot) then begin
-    let nw = cv *. f in
-    t.wcache.(slot) <- cv;
-    t.ccache.(slot) <- f;
-    if s.counted then adjust_mass t s.shard (nw -. s.wlast);
+  let v = value_of t s in
+  if v <> t.vcache.(slot) then begin
+    t.vcache.(slot) <- v;
+    let nw = D.units v in
+    if s.counted then Sh.adjust t.stree s.shard (nw - s.wlast);
     s.wlast <- nw;
     true
   end
@@ -304,17 +285,16 @@ let dequeue t s =
    draw. *)
 let withdraw t s =
   if s.counted then begin
-    adjust_mass t s.shard (-.s.wlast);
+    Sh.adjust t.stree s.shard (-s.wlast);
     s.counted <- false
   end;
   if s.in_draw then dequeue t s
 
 (* (Re-)insert a thread into its shard's draw, revaluing it first. The
-   recycled handle and [wlast]'s box make an unchanged re-insert
-   allocation-free. [wake] marks a thread entering the runnable set: on a
-   one-shard scheduler that always counts as one scoped weight write (so
-   a block/wake costs exactly one, whatever changed); otherwise only a
-   changed weight counts. *)
+   recycled handle makes an unchanged re-insert allocation-free. [wake]
+   marks a thread entering the runnable set: on a one-shard scheduler that
+   always counts as one scoped weight write (so a block/wake costs exactly
+   one, whatever changed); otherwise only a changed weight counts. *)
 let enqueue t s ~wake =
   if not s.in_draw then begin
     if revalue t s || (wake && not (t.shards > 1)) then
@@ -324,7 +304,7 @@ let enqueue t s ~wake =
     | None -> s.dh <- Some (D.add t.sdraws.(s.shard) ~client:s ~weight:s.wlast));
     s.in_draw <- true;
     if not s.counted then begin
-      adjust_mass t s.shard s.wlast;
+      Sh.adjust t.stree s.shard s.wlast;
       s.counted <- true
     end;
     if not s.in_fq then begin
@@ -339,7 +319,7 @@ let enqueue t s ~wake =
    nobody else draws before [account], and the winner stays where it is:
    a dequeue/re-insert per decision would reorder the List backend behind
    any mid-slice wake and force an O(n) table rebuild per decision in the
-   Cumul and Alias backends. *)
+   Alias backend. *)
 let[@inline] dispatch t s =
   if t.shards > 1 then dequeue t s;
   s.some
@@ -360,8 +340,8 @@ let migrate t s ~dst =
       | None -> assert false
     end;
     if s.counted then begin
-      adjust_mass t s.shard (-.s.wlast);
-      adjust_mass t dst s.wlast
+      Sh.adjust t.stree s.shard (-s.wlast);
+      Sh.adjust t.stree dst s.wlast
     end;
     t.members.(s.shard) <- t.members.(s.shard) - 1;
     t.members.(dst) <- t.members.(dst) + 1;
@@ -402,9 +382,9 @@ let max_rebalance_moves = 8
 
 let rebalance t =
   let tot = Sh.total t.stree in
-  if tot > 0. then begin
-    let ideal = tot /. float_of_int t.shards in
-    let full_band = t.imbalance_band *. ideal in
+  if tot > 0 then begin
+    let ideal = tot / t.shards in
+    let full_band = int_of_float (t.imbalance_band *. float_of_int ideal) in
     let thresh = ref full_band in
     let moves = ref 0 in
     let go = ref true in
@@ -414,13 +394,13 @@ let rebalance t =
       let poor = Sh.min_shard t.stree in
       let mr = Sh.get t.stree rich in
       let mp = Sh.get t.stree poor in
-      if rich <> poor && (mr -. ideal > !thresh || ideal -. mp > !thresh) then begin
+      if rich <> poor && (mr - ideal > !thresh || ideal - mp > !thresh) then begin
         let w = D.draw_slot t.sdraws.(rich) t.rng in
         if w >= 0 then begin
           let s = D.client_at t.sdraws.(rich) w in
-          if mr -. s.wlast >= mp +. s.wlast then begin
+          if mr - s.wlast >= mp + s.wlast then begin
             migrate t s ~dst:poor;
-            thresh := full_band /. 2.;
+            thresh := full_band / 2;
             incr moves;
             go := true
           end
@@ -434,10 +414,10 @@ let rebalance t =
    draw a victim from it, and migrate it here. One steal per empty
    decision keeps the RNG consumption bounded and deterministic. *)
 let steal t ~dst =
-  if not t.migration_enabled then None
-  else if Sh.total t.stree <= 0. then None
+  let tot = Sh.total t.stree in
+  if (not t.migration_enabled) || tot = 0 then None
   else begin
-    let src = Sh.pick t.stree ~u:(Rng.float_unit t.rng) in
+    let src = Sh.pick t.stree ~winning:(Rng.int_below t.rng tot) in
     if src < 0 || src = dst then None
     else begin
       let w = D.draw_slot t.sdraws.(src) t.rng in
@@ -633,7 +613,8 @@ let fire_draw_hook t =
   match t.draw_hook with
   | None -> ()
   | Some hook ->
-      hook ~runnable:(runnable_count t) ~total_weight:(Sh.total t.stree)
+      hook ~runnable:(runnable_count t)
+        ~total_weight:(D.tickets (Sh.total t.stree))
 
 (* One scheduling decision for virtual CPU [cpu] = shard [cpu]. The local
    draw is consulted first; an empty (or unfunded) shard tries a ticket-
@@ -711,10 +692,10 @@ let pick_waiter t waiters =
   let d = t.scratch in
   D.clear d;
   let insert w =
-    ignore (D.add d ~client:w ~weight:(potential_value t (state t w)))
+    ignore (D.add d ~client:w ~weight:(D.units (potential_value t (state t w))))
   in
   (match t.mode with
-  | Tree_mode | Cumul_mode | Alias_mode -> List.iter insert waiters
+  | Tree_mode | Alias_mode -> List.iter insert waiters
   | List_mode ->
       let rec back_to_front = function
         | [] -> ()
@@ -732,13 +713,12 @@ let sched t =
       (match t.mode with
       | List_mode -> "lottery-list"
       | Tree_mode -> "lottery-tree"
-      | Cumul_mode -> "lottery-cumul"
       | Alias_mode -> "lottery-alias");
     attach = attach t;
     detach = detach t;
     ready = ready t;
     unready = unready t;
-    smp_ok = true;
+    cpus = t.shards;
     select = (fun ~cpu -> select t ~cpu);
     account = (fun th ~used ~quantum ~blocked -> account t th ~used ~quantum ~blocked);
     donate = (fun ~src ~dst -> donate t ~src ~dst);
@@ -806,7 +786,7 @@ let list_comparisons t =
         (Array.fold_left
            (fun n d -> n + Option.value (D.comparisons d) ~default:0)
            0 t.sdraws)
-  | Tree_mode | Cumul_mode | Alias_mode -> None
+  | Tree_mode | Alias_mode -> None
 
 (* --- sharding introspection and control ---------------------------------- *)
 
@@ -824,7 +804,7 @@ let shard_of t th =
 let shard_ticket_mass t i =
   if i < 0 || i >= t.shards then
     invalid_arg "Lottery_sched.shard_ticket_mass: bad shard";
-  Sh.get t.stree i
+  D.tickets (Sh.get t.stree i)
 
 let force_migrate t th ~dst =
   if dst < 0 || dst >= t.shards then
@@ -835,14 +815,13 @@ let force_migrate t th ~dst =
 
 (* Cross-checks the sharded bookkeeping: every live tstate sits in exactly
    the shard draw it claims ([D.mem] there and nowhere else), every shard-
-   tree leaf matches the sum of [wlast] over the tstates counted into it
-   (relative epsilon — the leaf is maintained by incremental float deltas),
+   tree leaf equals the sum of [wlast] over the tstates counted into it,
    and flag coherence (in_draw implies counted implies placed). Read-only;
    safe between any two slices. *)
 let check_sharding t =
   let out = ref [] in
   let vf fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
-  let sums = Array.make t.shards 0. in
+  let sums = Array.make t.shards 0 in
   Array.iter
     (function
       | None -> ()
@@ -853,7 +832,7 @@ let check_sharding t =
           if s.counted && (s.shard < 0 || s.shard >= t.shards) then
             vf "%s: counted but shard id %d out of range" s.th.name s.shard;
           if s.counted && s.shard >= 0 && s.shard < t.shards then
-            sums.(s.shard) <- sums.(s.shard) +. s.wlast;
+            sums.(s.shard) <- sums.(s.shard) + s.wlast;
           (match s.dh with
           | Some h ->
               for i = 0 to t.shards - 1 do
@@ -871,9 +850,8 @@ let check_sharding t =
     t.st_tab;
   for i = 0 to t.shards - 1 do
     let leaf = Sh.get t.stree i in
-    let scale = max 1. (max (abs_float leaf) (abs_float sums.(i))) in
-    if abs_float (leaf -. sums.(i)) > 1e-6 *. scale then
-      vf "shard %d: tree mass %.9g but counted tstates sum to %.9g" i leaf
+    if leaf <> sums.(i) then
+      vf "shard %d: tree mass %d but counted tstates sum to %d units" i leaf
         sums.(i)
   done;
   List.rev !out

@@ -20,12 +20,13 @@
       mutex's waiters weighted by their currency values.
 
     Draws use the paper's move-to-front list (O(n)), the partial-sum tree
-    (O(log n)), the flat cumulative-sum array (O(log n), allocation-free
-    when quiescent), or the Walker/Vose alias method (O(1) draw); all
-    produce identically distributed winners. *)
+    (O(log n)) or the Walker/Vose alias method (O(1) draw); all produce
+    identically distributed winners. Draw weights are exact integer
+    tickets: a thread's value is quantized once by
+    {!Lotto_draw.Draw.units}. *)
 
 type t
-type mode = List_mode | Tree_mode | Cumul_mode | Alias_mode
+type mode = List_mode | Tree_mode | Alias_mode
 
 val create :
   ?mode:mode ->
@@ -56,8 +57,9 @@ val create :
     nothing runnable, and the winner leaves its draw for the duration of
     its slice so that no other CPU of the same kernel round can pick it.
     A one-shard scheduler is the paper's single global lottery: the winner
-    stays in the draw while it runs. Every lottery scheduler declares
-    {!Lotto_sim.Types.sched.smp_ok}.
+    stays in the draw while it runs. The scheduler serves [shards] CPUs
+    ({!Lotto_sim.Types.sched.cpus}), so a kernel with more CPUs is refused
+    at creation.
     Raises [Invalid_argument] when [shards < 0] or [imbalance_band <= 0]. *)
 
 val sched : t -> Lotto_sim.Types.sched
@@ -108,7 +110,7 @@ val thread_currency : t -> Lotto_sim.Types.thread -> Lotto_tickets.Funding.curre
 
 val thread_value : t -> Lotto_sim.Types.thread -> float
 (** Current draw weight in base units (funding value times any outstanding
-    compensation factor). *)
+    compensation factor), before {!Lotto_draw.Draw.units} quantizes it. *)
 
 val mark_dirty : t -> unit
 (** Force weight recomputation before the next draw. *)
@@ -126,7 +128,7 @@ val thread_entitlement : t -> Lotto_sim.Types.thread -> float
 val set_draw_hook : t -> (runnable:int -> total_weight:float -> unit) option -> unit
 (** Install an observability probe fired once per lottery, just before the
     winning ticket is drawn, with the runnable-client count and the total
-    active weight. Used to instrument draw cost and contention; [None]
+    active weight in tickets. Used to instrument draw cost and contention; [None]
     removes it. *)
 
 val set_profiler : t -> Lotto_obs.Profile.t option -> unit
@@ -191,7 +193,8 @@ val shard_of : t -> Lotto_sim.Types.thread -> int
 
 val shard_ticket_mass : t -> int -> float
 (** Ticket mass currently assigned to a shard (runnable-in-draw plus
-    dispatched; blocked threads carry no mass). Raises on a bad index. *)
+    dispatched; blocked threads carry no mass), in tickets: the exact sum
+    of its threads' quantized weights. Raises on a bad index. *)
 
 val migrations : t -> int
 (** Threads moved between shards so far (rebalancing, stealing and
@@ -220,9 +223,8 @@ val force_migrate : t -> Lotto_sim.Types.thread -> dst:int -> unit
 val check_sharding : t -> string list
 (** Audit sharded bookkeeping: each runnable thread's draw handle is live
     in exactly the shard it claims, each shard-tree leaf matches the
-    ticket mass of the threads counted into it (relative epsilon — leaves
-    are maintained incrementally), and the in-draw/counted flags are
-    coherent. Returns one string per violation; empty means healthy.
+    ticket mass of the threads counted into it exactly (masses are int
+    units), and the in-draw/counted flags are coherent. Returns one string per violation; empty means healthy.
     Read-only between slices;
     composed with the kernel and funding audits by the {!Lotto_chaos}
     auditor. *)

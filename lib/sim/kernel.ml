@@ -14,7 +14,7 @@ type t = {
   sel : thread option array;
       (* per-round select results: every CPU at the round floor selects
          before any slice runs, so one round's slices are virtually
-         concurrent and no thread can be picked by two CPUs (smp_ok
+         concurrent and no thread can be picked by two CPUs (multi-CPU
          schedulers dequeue on dispatch). Reuses the scheduler's returned
          option — the round adds no allocation. *)
   sched : sched;
@@ -65,13 +65,13 @@ let emit k ev =
       Obs.Bus.emit k.bus ~time:k.now ev;
       Obs.Profile.stop p Obs.Profile.Publish t0
 
-let create ?(quantum = Time.ms 100) ?(cpus = 1) ~sched () =
+let create ?(quantum = Time.ms 100) ?(cpus = 1) ~(sched : sched) () =
   if quantum <= 0 then invalid_arg "Kernel.create: quantum <= 0";
   if cpus < 1 then invalid_arg "Kernel.create: cpus < 1";
-  if cpus > 1 && not sched.smp_ok then
+  if cpus > sched.cpus then
     invalid_arg
-      ("Kernel.create: scheduler " ^ sched.sched_name
-     ^ " does not support cpus > 1");
+      (Printf.sprintf "Kernel.create: scheduler %s serves %d cpu(s), not %d"
+         sched.sched_name sched.cpus cpus);
   {
     now = 0;
     quantum;
@@ -1031,7 +1031,7 @@ let has_live_blocked k =
    slices run (again in id order). Splitting select from execution makes
    one round's slices virtually concurrent: a thread woken mid-slice by
    CPU 0 cannot be dispatched by CPU 1 "in the past" at T, and — since
-   smp_ok schedulers dequeue on dispatch and only re-enqueue in [account]
+   multi-CPU schedulers dequeue on dispatch and only re-enqueue in [account]
    — no thread is ever picked by two CPUs of the same round. CPUs whose
    clock is ahead of T simply sit the round out. With [cpus = 1] every
    round is exactly one select + one slice at [k.now], byte-identical to

@@ -190,11 +190,12 @@ and semaphore = {
    schedulers implement it with transfer tickets, others ignore it. *)
 and sched = {
   sched_name : string;
-  smp_ok : bool;
-      (** whether the scheduler implements on-CPU semantics for several
-          virtual CPUs (dequeue on dispatch, so the same thread is never
-          selected by two CPUs for overlapping slices). [Kernel.create]
-          refuses [cpus > 1] for schedulers that do not. *)
+  cpus : int;
+      (** the number of virtual CPUs the scheduler serves: it answers
+          [select ~cpu] for every [cpu] below it, and with more than one it
+          implements on-CPU semantics (dequeue on dispatch, so the same
+          thread is never selected by two CPUs for overlapping slices).
+          [Kernel.create] refuses a kernel with more CPUs. *)
   attach : thread -> unit;  (** thread created (initially runnable) *)
   detach : thread -> unit;  (** thread exited *)
   ready : thread -> unit;  (** thread became runnable *)

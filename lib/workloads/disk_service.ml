@@ -56,8 +56,7 @@ let start kernel ~rng ~name ?(cylinders = 1000)
            List.iter
              (fun (m : Types.message) ->
                ignore
-                 (Draw.add d ~client:m
-                    ~weight:(float_of_int (disk_tickets t m.sender))))
+                 (Draw.add d ~client:m ~weight:(disk_tickets t m.sender)))
              (List.rev !pending);
            let winner =
              match Draw.draw_client d rng with

@@ -10,7 +10,6 @@ module F = Core.Funding
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
-let checkf msg = Alcotest.(check (float 1e-9)) msg
 
 (* --- Slots: the allocator itself --------------------------------------- *)
 
@@ -152,32 +151,32 @@ let test_vec () =
 
 let test_draw_recycling mode () =
   let d = Core.Draw.of_mode mode in
-  let hs = Array.init 8 (fun i -> Core.Draw.add d ~client:i ~weight:(float_of_int (i + 1))) in
+  let hs = Array.init 8 (fun i -> Core.Draw.add d ~client:i ~weight:(i + 1)) in
   checki "size" 8 (Core.Draw.size d);
-  checkf "total" 36. (Core.Draw.total d);
+  checki "total" 36 (Core.Draw.total d);
   Core.Draw.remove d hs.(3);
   checki "size after remove" 7 (Core.Draw.size d);
-  checkf "total after remove" 32. (Core.Draw.total d);
+  checki "total after remove" 32 (Core.Draw.total d);
   Core.Draw.remove d hs.(3);
   checki "stale remove is idempotent" 7 (Core.Draw.size d);
   (* the vacated slot is recycled for the next client; the stale handle
      must stay inert — removing it again must NOT evict the new occupant *)
-  let h = Core.Draw.add d ~client:99 ~weight:4. in
+  let h = Core.Draw.add d ~client:99 ~weight:4 in
   checki "size after recycling add" 8 (Core.Draw.size d);
-  checkf "total after recycling add" 36. (Core.Draw.total d);
+  checki "total after recycling add" 36 (Core.Draw.total d);
   Core.Draw.remove d hs.(3);
   checki "stale remove leaves the new occupant" 8 (Core.Draw.size d);
-  checkf "stale remove leaves the weight" 36. (Core.Draw.total d);
-  checkf "stale weight reads as zero" 0. (Core.Draw.weight d hs.(3));
-  checkf "live weight reads through" 4. (Core.Draw.weight d h);
-  Core.Draw.set_weight d h 8.;
-  checkf "new handle updates" 8. (Core.Draw.weight d h);
+  checki "stale remove leaves the weight" 36 (Core.Draw.total d);
+  checki "stale weight reads as zero" 0 (Core.Draw.weight d hs.(3));
+  checki "live weight reads through" 4 (Core.Draw.weight d h);
+  Core.Draw.set_weight d h 8;
+  checki "new handle updates" 8 (Core.Draw.weight d h);
   (* every live client is reachable by a deterministic sweep *)
   let winners = Hashtbl.create 8 in
   let total = Core.Draw.total d in
   let steps = 400 in
   for i = 0 to steps - 1 do
-    match Core.Draw.draw_with_value d ~winning:(float_of_int i *. total /. float_of_int steps) with
+    match Core.Draw.draw_with_value d ~winning:(i * total / steps) with
     | Some w -> Hashtbl.replace winners (Core.Draw.client w) ()
     | None -> Alcotest.fail "draw_with_value returned no winner"
   done;
@@ -186,12 +185,12 @@ let test_draw_recycling mode () =
 
 let test_tree_stale_set_weight () =
   let t = Core.Tree_lottery.create () in
-  let h = Core.Tree_lottery.add t ~client:"x" ~weight:1. in
+  let h = Core.Tree_lottery.add t ~client:"x" ~weight:1 in
   Core.Tree_lottery.remove t h;
   checkb "stale handle is not a member" false (Core.Tree_lottery.mem t h);
   Alcotest.check_raises "set_weight on a stale handle"
     (Invalid_argument "Tree_lottery.set_weight: removed handle") (fun () ->
-      Core.Tree_lottery.set_weight t h 2.)
+      Core.Tree_lottery.set_weight t h 2)
 
 (* --- Kernel thread table: randomized create/kill/block/wake churn ------- *)
 

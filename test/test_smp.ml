@@ -9,96 +9,120 @@ let check = Alcotest.check
 let checki = check Alcotest.int
 let checkb = check Alcotest.bool
 let checks = check Alcotest.string
-let checkf = check (Alcotest.float 1e-9)
 
 (* --- shard tree -------------------------------------------------------------- *)
 
 let test_shard_tree_basic () =
   let t = Shard_tree.create ~shards:4 in
   checki "shards" 4 (Shard_tree.shards t);
-  checkf "empty total" 0. (Shard_tree.total t);
-  Shard_tree.set t 0 3.;
-  Shard_tree.set t 1 1.;
-  Shard_tree.set t 3 2.;
-  checkf "total" 6. (Shard_tree.total t);
-  checkf "get 0" 3. (Shard_tree.get t 0);
-  checkf "get 2" 0. (Shard_tree.get t 2);
-  Shard_tree.set t 0 1.;
-  checkf "total after rewrite" 4. (Shard_tree.total t);
+  checki "empty total" 0 (Shard_tree.total t);
+  Shard_tree.set t 0 3;
+  Shard_tree.set t 1 1;
+  Shard_tree.set t 3 2;
+  checki "total" 6 (Shard_tree.total t);
+  checki "get 0" 3 (Shard_tree.get t 0);
+  checki "get 2" 0 (Shard_tree.get t 2);
+  Shard_tree.set t 0 1;
+  checki "total after rewrite" 4 (Shard_tree.total t);
   checki "max" 3 (Shard_tree.max_shard t);
   checki "min (lowest id wins ties)" 2 (Shard_tree.min_shard t);
-  Shard_tree.set t 2 1.;
+  Shard_tree.set t 2 1;
   (* masses 1/1/1/2: the tie among 0-2 goes to the fewest members *)
   checki "least_loaded breaks mass ties by members" 1
     (Shard_tree.least_loaded t ~members:[| 5; 3; 4; 0 |]);
   checki "then by lowest id" 0
-    (Shard_tree.least_loaded t ~members:[| 3; 3; 4; 0 |])
+    (Shard_tree.least_loaded t ~members:[| 3; 3; 4; 0 |]);
+  Shard_tree.adjust t 3 (-2);
+  checki "adjust moves the total" 3 (Shard_tree.total t);
+  Alcotest.check_raises "mass never goes negative"
+    (Invalid_argument "Shard_tree: negative mass") (fun () ->
+      Shard_tree.adjust t 3 (-1))
 
 let test_shard_tree_pick () =
   let t = Shard_tree.create ~shards:3 in
-  checki "pick on empty" (-1) (Shard_tree.pick t ~u:0.5);
-  Shard_tree.set t 0 1.;
-  Shard_tree.set t 1 2.;
-  Shard_tree.set t 2 1.;
+  checki "pick on empty" (-1) (Shard_tree.pick t ~winning:0);
+  Shard_tree.set t 0 1;
+  Shard_tree.set t 1 2;
+  Shard_tree.set t 2 1;
   (* cumulative masses: [0,1) -> 0, [1,3) -> 1, [3,4) -> 2 *)
-  checki "low u" 0 (Shard_tree.pick t ~u:0.1);
-  checki "middle u" 1 (Shard_tree.pick t ~u:0.5);
-  checki "high u" 2 (Shard_tree.pick t ~u:0.99);
+  List.iter
+    (fun (w, shard) ->
+      checki (Printf.sprintf "winning %d" w) shard (Shard_tree.pick t ~winning:w))
+    [ (0, 0); (1, 1); (2, 1); (3, 2) ];
+  checki "past the total" (-1) (Shard_tree.pick t ~winning:4);
   (* zero-mass shards are never picked, even at the boundary *)
-  Shard_tree.set t 1 0.;
-  for i = 0 to 99 do
-    let u = float_of_int i /. 100. in
-    checkb "never the empty shard" true (Shard_tree.pick t ~u <> 1)
+  Shard_tree.set t 1 0;
+  for w = 0 to Shard_tree.total t - 1 do
+    checkb "never the empty shard" true (Shard_tree.pick t ~winning:w <> 1)
   done
 
 let test_shard_tree_non_power_of_two () =
   let t = Shard_tree.create ~shards:3 in
-  Shard_tree.set t 2 5.;
-  checkf "last real leaf" 5. (Shard_tree.get t 2);
-  checkf "total ignores padding" 5. (Shard_tree.total t);
-  checki "pick lands on it" 2 (Shard_tree.pick t ~u:0.5)
+  Shard_tree.set t 2 5;
+  checki "last real leaf" 5 (Shard_tree.get t 2);
+  checki "total ignores padding" 5 (Shard_tree.total t);
+  checki "pick lands on it" 2 (Shard_tree.pick t ~winning:2)
+
+(* The shard mass under hostile churn: 10^5 signed adjustments whose
+   magnitudes span 10^-3 to 10^12 tickets. The root always equals the sum
+   of the leaves, and each leaf the sum of what was put into it, exactly. *)
+let qcheck_shard_tree_mass_exact =
+  QCheck.Test.make ~name:"shard-tree root equals the sum of its leaves"
+    ~count:5 QCheck.small_int
+    (fun seed ->
+      let rng = Rng.create ~algo:Splitmix64 ~seed () in
+      let shards = 1 + Rng.int_below rng 8 in
+      let t = Shard_tree.create ~shards in
+      let model = Array.make shards 0 in
+      let ok = ref true in
+      for _ = 1 to 100_000 do
+        let i = Rng.int_below rng shards in
+        let w = Draw.units (10. ** ((15. *. Rng.float_unit rng) -. 3.)) in
+        if Rng.bool rng || model.(i) < w then begin
+          Shard_tree.adjust t i w;
+          model.(i) <- model.(i) + w
+        end
+        else begin
+          Shard_tree.adjust t i (-w);
+          model.(i) <- model.(i) - w
+        end;
+        if Shard_tree.get t i <> model.(i) then ok := false
+      done;
+      !ok && Shard_tree.total t = Array.fold_left ( + ) 0 model)
 
 (* --- readd: the zero-alloc migration primitive ------------------------------- *)
 
 let test_readd_roundtrip () =
-  let modes =
-    [
-      ("list", Draw.List);
-      ("tree", Draw.Tree);
-      ("cumul", Draw.Cumul);
-      ("alias", Draw.Alias);
-    ]
-  in
+  let modes = [ ("list", Draw.List); ("tree", Draw.Tree); ("alias", Draw.Alias) ] in
   List.iter
     (fun (name, mode) ->
       let d = Draw.of_mode mode in
-      let a = Draw.add d ~client:"a" ~weight:1. in
-      let b = Draw.add d ~client:"b" ~weight:2. in
+      let a = Draw.add d ~client:"a" ~weight:1 in
+      let b = Draw.add d ~client:"b" ~weight:2 in
       Draw.remove d b;
       checkb (name ^ ": removed not mem") false (Draw.mem d b);
       checkb (name ^ ": live still mem") true (Draw.mem d a);
-      Draw.readd d b ~weight:3.;
+      Draw.readd d b ~weight:3;
       checkb (name ^ ": readded mem") true (Draw.mem d b);
       checki (name ^ ": size back to 2") 2 (Draw.size d);
-      checkf (name ^ ": total reflects new weight") 4. (Draw.total d);
+      checki (name ^ ": total reflects new weight") 4 (Draw.total d);
       Alcotest.check_raises
         (name ^ ": readd of a live handle rejected")
         (Invalid_argument
            (match mode with
            | Draw.List -> "List_lottery.readd: handle still live"
            | Draw.Tree -> "Tree_lottery.readd: handle still live"
-           | Draw.Cumul -> "Cumul_lottery.readd: handle still live"
            | Draw.Alias -> "Alias_lottery.readd: handle still live"))
-        (fun () -> Draw.readd d b ~weight:1.))
+        (fun () -> Draw.readd d b ~weight:1))
     modes
 
 let test_readd_cross_structure () =
   (* the actual migration pattern: remove from one shard draw, readd into
      another, with the same handle record *)
   let src = Draw.of_mode Draw.Tree and dst = Draw.of_mode Draw.Tree in
-  let h = Draw.add src ~client:42 ~weight:5. in
+  let h = Draw.add src ~client:42 ~weight:5 in
   Draw.remove src h;
-  Draw.readd dst h ~weight:5.;
+  Draw.readd dst h ~weight:5;
   checkb "gone from src" false (Draw.mem src h);
   checkb "live in dst" true (Draw.mem dst h);
   checki "dst sees it" 42 (Draw.client h);
@@ -458,6 +482,54 @@ let test_one_shard_audit_clean () =
       [] (Lottery_sched.check_sharding ls)
   done
 
+(* Funding churn across twelve orders of magnitude on one to four shards:
+   group currencies and threads funded with amounts log-uniform over
+   1..10^12, and a random ticket re-set to such an amount before each of
+   40 runs of 50 ms while threads compute, sleep and migrate. Every
+   shard's mass must equal the exact sum of its threads' quantized weights
+   at every audit. *)
+let qcheck_wide_range_funding_masses_exact =
+  QCheck.Test.make ~name:"wide-range funding churn keeps shard masses exact"
+    ~count:10 QCheck.small_int
+    (fun seed ->
+      let r = Rng.create ~algo:Splitmix64 ~seed () in
+      let amount () =
+        let rec pow10 e = if e = 0 then 1 else 10 * pow10 (e - 1) in
+        1 + Rng.int_below r (pow10 (Rng.int_below r 13))
+      in
+      let shards = 1 + Rng.int_below r 4 in
+      let ls =
+        Lottery_sched.create ~mode:Tree_mode ~shards ~rng:(Rng.create ~seed ()) ()
+      in
+      let k = Kernel.create ~cpus:shards ~sched:(Lottery_sched.sched ls) () in
+      let base = Lottery_sched.base_currency ls in
+      let groups =
+        Array.init 3 (fun i ->
+            let c = Lottery_sched.make_currency ls (Printf.sprintf "g%d" i) in
+            ignore (Lottery_sched.fund_currency ls ~target:c ~amount:(amount ()) ~from:base);
+            c)
+      in
+      let tickets =
+        Array.init 24 (fun i ->
+            let th =
+              Kernel.spawn k ~name:(Printf.sprintf "t%02d" i) (fun () ->
+                  while true do
+                    Api.compute (Time.ms (1 + (i mod 7)));
+                    if i mod 3 = 0 then Api.sleep (Time.ms 30)
+                  done)
+            in
+            Lottery_sched.fund_thread ls th ~amount:(amount ()) ~from:groups.(i mod 3))
+      in
+      let ok = ref true in
+      for step = 1 to 40 do
+        Lottery_sched.set_ticket_amount ls
+          tickets.(Rng.int_below r (Array.length tickets))
+          (amount ());
+        ignore (Kernel.run k ~until:(Time.ms (50 * step)));
+        if Lottery_sched.check_sharding ls <> [] then ok := false
+      done;
+      !ok)
+
 let test_list_comparisons_sharded () =
   (* the search-length counter sums every shard's list, not just one *)
   let ls =
@@ -480,21 +552,20 @@ let test_list_comparisons_sharded () =
 let test_smp_guards () =
   let rng = Rng.create ~seed:1 () in
   let rr = Round_robin.create () in
-  Alcotest.check_raises "non-smp sched rejected on 2 cpus"
-    (Invalid_argument "Kernel.create: scheduler round-robin does not support cpus > 1")
+  Alcotest.check_raises "one-CPU sched rejected on 2 cpus"
+    (Invalid_argument
+       "Kernel.create: scheduler round-robin serves 1 cpu(s), not 2")
     (fun () -> ignore (Kernel.create ~cpus:2 ~sched:(Round_robin.sched rr) ()));
   Alcotest.check_raises "cpus < 1 rejected"
     (Invalid_argument "Kernel.create: cpus < 1")
     (fun () ->
       let ls = Lottery_sched.create ~shards:1 ~rng () in
       ignore (Kernel.create ~cpus:0 ~sched:(Lottery_sched.sched ls) ()));
-  Alcotest.check_raises "more CPUs than shards rejected at the first select"
+  Alcotest.check_raises "select beyond the shards rejected"
     (Invalid_argument "Lottery_sched.select: cpu 1, but only 1 shard(s)")
     (fun () ->
       let ls = Lottery_sched.create ~rng () in
-      let k = Kernel.create ~cpus:2 ~sched:(Lottery_sched.sched ls) () in
-      ignore (spin k "a");
-      ignore (Kernel.run k ~until:(Time.ms 100)));
+      ignore ((Lottery_sched.sched ls).select ~cpu:1));
   let ls = Lottery_sched.create ~shards:2 ~rng () in
   Alcotest.check_raises "force_migrate bad shard"
     (Invalid_argument "Lottery_sched.force_migrate: bad shard")
@@ -503,6 +574,28 @@ let test_smp_guards () =
       let a = spin k "a" in
       ignore (Kernel.run k ~until:(Time.ms 100));
       Lottery_sched.force_migrate ls a ~dst:7)
+
+(* A scheduler declares how many CPUs it serves, so a kernel with more is
+   refused when it is built, before any thread runs: a one-shard lottery
+   scheduler serves one CPU whatever its draw backend. *)
+let test_kernel_refuses_unserved_cpus () =
+  List.iter
+    (fun (mode, name) ->
+      let ls = Lottery_sched.create ~mode ~rng:(Rng.create ~seed:1 ()) () in
+      checki (name ^ " serves one cpu") 1 (Lottery_sched.sched ls).cpus;
+      Alcotest.check_raises (name ^ ": 4 cpus refused at create")
+        (Invalid_argument
+           (Printf.sprintf "Kernel.create: scheduler %s serves 1 cpu(s), not 4"
+              name))
+        (fun () -> ignore (Kernel.create ~cpus:4 ~sched:(Lottery_sched.sched ls) ())))
+    [
+      (Lottery_sched.List_mode, "lottery-list");
+      (Lottery_sched.Tree_mode, "lottery-tree");
+      (Lottery_sched.Alias_mode, "lottery-alias");
+    ];
+  let ls = Lottery_sched.create ~shards:4 ~rng:(Rng.create ~seed:1 ()) () in
+  checki "a 4-shard scheduler serves 4 cpus" 4 (Lottery_sched.sched ls).cpus;
+  ignore (Kernel.create ~cpus:3 ~sched:(Lottery_sched.sched ls) ())
 
 let () =
   Alcotest.run "smp"
@@ -513,6 +606,7 @@ let () =
           Alcotest.test_case "weighted pick" `Quick test_shard_tree_pick;
           Alcotest.test_case "non-power-of-two" `Quick
             test_shard_tree_non_power_of_two;
+          QCheck_alcotest.to_alcotest qcheck_shard_tree_mass_exact;
         ] );
       ( "readd",
         [
@@ -537,6 +631,9 @@ let () =
           Alcotest.test_case "steal on an empty shard" `Quick
             test_steal_on_empty_shard;
           Alcotest.test_case "argument guards" `Quick test_smp_guards;
+          Alcotest.test_case "kernel refuses cpus the scheduler does not serve"
+            `Quick test_kernel_refuses_unserved_cpus;
+          QCheck_alcotest.to_alcotest qcheck_wide_range_funding_masses_exact;
         ] );
       ( "one-shard",
         [
